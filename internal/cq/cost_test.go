@@ -249,6 +249,7 @@ func TestExplainPlanStrategies(t *testing.T) {
 	cfg.indexBuildPerRow = 0
 	cfg.nodeCost = 0
 	cfg.parallelMinNodes = 0
+	cfg.parallelWorkers = 1 // pin the one worker asserted below; 0 would mean GOMAXPROCS
 	withCostConfig(t, cfg, func() {
 		info, err := ExplainPlan(q, big)
 		if err != nil {

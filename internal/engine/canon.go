@@ -14,6 +14,8 @@
 package engine
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,7 +86,10 @@ type headTerm struct {
 
 // canonizer holds the normalized query during canonicalization.  All
 // state is slice-indexed by dense class and atom numbers so every loop
-// is deterministic (no map iteration anywhere on this path).
+// is deterministic (no map iteration anywhere on this path).  Per-class
+// tables are in compressed-row form — one flat backing array per table
+// plus an offset array — so building them costs a fixed handful of
+// allocations whatever the query's size.
 type canonizer struct {
 	atomRel  []string // per atom: relation name
 	relColor []int    // per atom: dense rank of its relation name
@@ -93,10 +98,22 @@ type canonizer struct {
 	// Per class:
 	classConst []value.Value // bound constant (zero Value when none)
 	classHasC  []bool
-	classHeadP [][]int // head positions mentioning the class
-	occAtom    [][]int // per class: atom index of each occurrence
-	occPos     [][]int // per class: position of each occurrence
-	color      []int   // current refinement color per class
+	constStr   []string // rendered constant binding; set by refine, nil when no class binds one
+	// Head positions mentioning class ci are headPos[headStart[ci]:headStart[ci+1]].
+	headStart []int
+	headPos   []int
+	// Class ci's occurrences are occAtom[occStart[ci]:occStart[ci+1]]
+	// (atom index) and the same range of occPos (position in the atom).
+	occStart []int
+	occAtom  []int
+	occPos   []int
+	color    []int // current refinement color per class
+
+	// Encoder scratch, reused across search steps.
+	row, bestRow []int
+	// cands is a stack of candidate lists, one frame per search depth
+	// (see search).
+	cands []int
 }
 
 // newCanonizer normalizes q: it resolves the equality list with a
@@ -105,8 +122,15 @@ type canonizer struct {
 // occurrence tables.  The second return is true when the equality list
 // equates two distinct constants, i.e. the query is unsatisfiable.
 func newCanonizer(q *cq.Query) (*canonizer, bool) {
-	// Slot per distinct variable, in order of first appearance.
-	slotOf := make(map[cq.Var]int, 2*len(q.Body))
+	// Slot per distinct variable, in order of first appearance.  Body
+	// occurrences bound the distinct variables of any valid query (the
+	// head and equality list only mention body variables), so sizing the
+	// map by them avoids rehashing while it fills.
+	total := 0
+	for _, a := range q.Body {
+		total += len(a.Vars)
+	}
+	slotOf := make(map[cq.Var]int, total)
 	slot := func(v cq.Var) int {
 		if i, ok := slotOf[v]; ok {
 			return i
@@ -133,8 +157,8 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 	}
 
 	n := len(slotOf)
-	parent := make([]int, n)
-	rnk := make([]int, n)
+	ints := make([]int, 3*n)
+	parent, rnk, classAt := ints[:n], ints[n:2*n], ints[2*n:]
 	hasC := make([]bool, n)        // valid on roots
 	cval := make([]value.Value, n) // valid on roots with hasC
 	for i := range parent {
@@ -188,8 +212,7 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 	}
 
 	c := &canonizer{}
-	classAt := make([]int, n) // root slot -> dense class index
-	for i := range classAt {
+	for i := range classAt { // root slot -> dense class index
 		classAt[i] = -1
 	}
 	c.classConst = make([]value.Value, 0, n)
@@ -204,10 +227,6 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 		c.classConst = append(c.classConst, cval[root])
 		c.classHasC = append(c.classHasC, hasC[root])
 		return i
-	}
-	total := 0
-	for _, a := range q.Body {
-		total += len(a.Vars)
 	}
 	argsFlat := make([]int, 0, total)
 	c.atomRel = make([]string, len(q.Body))
@@ -228,50 +247,56 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 			classIdx(e.Right.Var)
 		}
 	}
-	c.head = make([]headTerm, 0, len(q.Head))
+	c.head = make([]headTerm, len(q.Head))
 	headClass := make([]int, len(q.Head)) // class per head position, -1 for consts
 	for hi, t := range q.Head {
 		if t.IsConst {
-			c.head = append(c.head, headTerm{isConst: true, cnst: t.Const})
+			c.head[hi] = headTerm{isConst: true, cnst: t.Const}
 			headClass[hi] = -1
 			continue
 		}
 		ci := classIdx(t.Var)
-		c.head = append(c.head, headTerm{class: ci})
+		c.head[hi] = headTerm{class: ci}
 		headClass[hi] = ci
 	}
 
-	// All classes exist now; build the per-class tables over flat
-	// backings (one allocation each instead of one per class).
+	// All classes exist now; build the compressed-row per-class tables.
 	nc := len(c.classConst)
-	c.classHeadP = make([][]int, nc)
-	for hi, ci := range headClass {
-		if ci >= 0 {
-			c.classHeadP[ci] = append(c.classHeadP[ci], hi)
+	starts := make([]int, 2*(nc+1))
+	c.headStart, c.occStart = starts[:nc+1], starts[nc+1:]
+	c.headPos = make([]int, 0, len(headClass))
+	for ci := 0; ci < nc; ci++ {
+		c.headStart[ci] = len(c.headPos)
+		for hi, hc := range headClass {
+			if hc == ci {
+				c.headPos = append(c.headPos, hi)
+			}
 		}
 	}
-	occCount := make([]int, nc)
+	c.headStart[nc] = len(c.headPos)
+	// occStart[ci+1] counts class ci's occurrences, then prefix sums
+	// turn counts into row ends; the fill below advances each row's
+	// cursor occStart[ci] up to its end, so a final shift restores the
+	// row starts.
 	for _, args := range c.atomArgs {
 		for _, ci := range args {
-			occCount[ci]++
+			c.occStart[ci+1]++
 		}
 	}
-	occAtomFlat := make([]int, total)
-	occPosFlat := make([]int, total)
-	c.occAtom = make([][]int, nc)
-	c.occPos = make([][]int, nc)
-	off := 0
-	for ci := 0; ci < nc; ci++ {
-		c.occAtom[ci] = occAtomFlat[off : off : off+occCount[ci]]
-		c.occPos[ci] = occPosFlat[off : off : off+occCount[ci]]
-		off += occCount[ci]
+	for ci := 1; ci <= nc; ci++ {
+		c.occStart[ci] += c.occStart[ci-1]
 	}
+	occ := make([]int, 2*total)
+	c.occAtom, c.occPos = occ[:total], occ[total:]
 	for ai, args := range c.atomArgs {
 		for p, ci := range args {
-			c.occAtom[ci] = append(c.occAtom[ci], ai)
-			c.occPos[ci] = append(c.occPos[ci], p)
+			k := c.occStart[ci]
+			c.occAtom[k], c.occPos[k] = ai, p
+			c.occStart[ci]++
 		}
 	}
+	copy(c.occStart[1:], c.occStart[:nc])
+	c.occStart[0] = 0
 	c.color = make([]int, nc)
 	relNames := append([]string(nil), c.atomRel...)
 	sort.Strings(relNames)
@@ -283,12 +308,22 @@ func newCanonizer(q *cq.Query) (*canonizer, bool) {
 	return c, false
 }
 
+// occurrences returns class ci's occurrence atoms and positions.
+func (c *canonizer) occurrences(ci int) (atoms, pos []int) {
+	lo, hi := c.occStart[ci], c.occStart[ci+1]
+	return c.occAtom[lo:hi], c.occPos[lo:hi]
+}
+
 // refine assigns renaming-invariant colors to classes by iterated
 // partition refinement: the initial color is the class's constant
 // binding, head positions, and (relation, position) occurrence multiset;
 // each round folds in the colors of co-occurring classes until the
-// partition stabilizes.
+// partition stabilizes.  Class and atom rows live in one backing array
+// each, sized for their widest round and rewritten in place.
+//
+//keyedeq:hot -- iterated refinement rounds over every class and atom; every canonical key pays for it
 func (c *canonizer) refine() {
+	nc, na := len(c.color), len(c.atomRel)
 	// posBase makes (color, position) pairs collision-free when packed
 	// into one int.
 	posBase := 1
@@ -299,12 +334,17 @@ func (c *canonizer) refine() {
 	}
 
 	// Constant bindings are the only name-bearing invariant left after
-	// relColor; rank them once up front (most classes bind none).
-	constRank := make([]int, len(c.color))
+	// relColor; render and rank them once up front (most classes bind
+	// none).  The rendering is kept for the encoder.
+	constRank := make([]int, nc)
 	var consts []string
 	for ci := range c.color {
 		if c.classHasC[ci] {
-			consts = append(consts, c.classConst[ci].String())
+			if c.constStr == nil {
+				c.constStr = make([]string, nc)
+			}
+			c.constStr[ci] = c.classConst[ci].String()
+			consts = append(consts, c.constStr[ci])
 		}
 	}
 	if len(consts) > 0 {
@@ -312,60 +352,67 @@ func (c *canonizer) refine() {
 		consts = uniqStrings(consts)
 		for ci := range c.color {
 			if c.classHasC[ci] {
-				constRank[ci] = 1 + sort.SearchStrings(consts, c.classConst[ci].String())
+				constRank[ci] = 1 + sort.SearchStrings(consts, c.constStr[ci])
 			}
 		}
 	}
 
-	// Initial round: constant rank, head positions (length-prefixed so
-	// the row layout is unambiguous), then the sorted (relation, position)
-	// occurrence multiset.
-	classRows := make([][]int, len(c.color))
+	// A class row is widest in the initial round: constant rank, head
+	// count, head positions, then one entry per occurrence.
+	classRows := make([][]int, nc)
+	classFlat := make([]int, 2*nc+len(c.headPos)+len(c.occAtom))
+	idx := make([]int, max(nc, na)) // rankRows scratch
+	off := 0
 	for ci := range classRows {
-		row := make([]int, 0, 2+len(c.classHeadP[ci])+len(c.occAtom[ci]))
-		row = append(row, constRank[ci], len(c.classHeadP[ci]))
-		row = append(row, c.classHeadP[ci]...)
+		headP := c.headPos[c.headStart[ci]:c.headStart[ci+1]]
+		occAtom, occPos := c.occurrences(ci)
+		w := 2 + len(headP) + len(occAtom)
+		row := append(classFlat[off:off:off+w], constRank[ci], len(headP))
+		row = append(row, headP...)
 		mark := len(row)
-		for k, ai := range c.occAtom[ci] {
-			row = append(row, c.relColor[ai]*posBase+c.occPos[ci][k])
+		for k, ai := range occAtom {
+			row = append(row, c.relColor[ai]*posBase+occPos[k])
 		}
-		occ := row[mark:]
-		sort.Ints(occ)
+		slices.Sort(row[mark:])
 		classRows[ci] = row
+		off += w
 	}
-	distinct := rankRows(classRows, c.color)
-	if distinct == len(c.color) {
+	distinct := rankRows(classRows, c.color, idx)
+	if distinct == nc {
 		return // discrete partition: colors are final
 	}
 
-	atomRows := make([][]int, len(c.atomRel))
-	atomColor := make([]int, len(c.atomRel))
-	for round := 0; round < len(c.color); round++ {
+	atomRows := make([][]int, na)
+	atomFlat := make([]int, na+len(c.occAtom))
+	off = 0
+	for ai, args := range c.atomArgs {
+		atomRows[ai] = atomFlat[off : off : off+1+len(args)]
+		off += 1 + len(args)
+	}
+	atomColor := make([]int, na)
+	for round := 0; round < nc; round++ {
 		// Atom signature: relation color then argument class colors.
 		for ai, args := range c.atomArgs {
-			row := atomRows[ai][:0]
-			row = append(row, c.relColor[ai])
+			row := append(atomRows[ai][:0], c.relColor[ai])
 			for _, ci := range args {
 				row = append(row, c.color[ci])
 			}
 			atomRows[ai] = row
 		}
-		rankRows(atomRows, atomColor)
+		rankRows(atomRows, atomColor, idx)
 		// Class signature: own color then the sorted multiset of
 		// (atom color, position) occurrences.
 		for ci := range classRows {
-			row := classRows[ci][:0]
-			row = append(row, c.color[ci])
-			mark := len(row)
-			for k, ai := range c.occAtom[ci] {
-				row = append(row, atomColor[ai]*posBase+c.occPos[ci][k])
+			occAtom, occPos := c.occurrences(ci)
+			row := append(classRows[ci][:0], c.color[ci])
+			for k, ai := range occAtom {
+				row = append(row, atomColor[ai]*posBase+occPos[k])
 			}
-			occ := row[mark:]
-			sort.Ints(occ)
+			slices.Sort(row[1:])
 			classRows[ci] = row
 		}
-		d := rankRows(classRows, c.color)
-		if d == distinct || d == len(c.color) {
+		d := rankRows(classRows, c.color, idx)
+		if d == distinct || d == nc {
 			return
 		}
 		distinct = d
@@ -385,18 +432,18 @@ func uniqStrings(s []string) []string {
 
 // rankRows assigns each row its dense rank under lexicographic order,
 // writing ranks into out (len(out) == len(rows)), and returns the number
-// of distinct rows.
-func rankRows(rows [][]int, out []int) int {
-	idx := make([]int, len(rows))
+// of distinct rows.  idx is index scratch of at least len(rows).
+//
+//keyedeq:hot -- ranks every class and atom row once per refinement round
+func rankRows(rows [][]int, out, idx []int) int {
+	idx = idx[:len(rows)]
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return compareIntRows(rows[idx[a]], rows[idx[b]]) < 0
-	})
+	slices.SortFunc(idx, func(a, b int) int { return slices.Compare(rows[a], rows[b]) })
 	rank := 0
 	for k, i := range idx {
-		if k > 0 && compareIntRows(rows[idx[k-1]], rows[i]) != 0 {
+		if k > 0 && !slices.Equal(rows[idx[k-1]], rows[i]) {
 			rank++
 		}
 		out[i] = rank
@@ -404,22 +451,22 @@ func rankRows(rows [][]int, out []int) int {
 	return rank + 1
 }
 
-func compareIntRows(a, b []int) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
+// encoding is a sequence of encoded segments (the head, then one per
+// emitted atom) held in one byte buffer with the segments joined by
+// '|' — exactly the canonical key's layout — plus each segment's end
+// offset.
+type encoding struct {
+	buf  []byte
+	ends []int
+}
+
+// seg returns segment i.
+func (e *encoding) seg(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = e.ends[i-1] + 1 // skip the '|' separator
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	return e.buf[start:e.ends[i]]
 }
 
 // encState is one node of the tie-break search: a partial atom order
@@ -428,7 +475,7 @@ type encState struct {
 	num  []int // class -> assigned de Bruijn number, -1 when unassigned
 	next int
 	used []bool
-	out  []string // encoded segments so far
+	encoding
 }
 
 // encode produces the canonical key: the head (its order is already
@@ -438,48 +485,58 @@ type encState struct {
 // bounded backtracking over full encodings; automorphic ties (stars,
 // cliques) yield identical encodings on every branch, so even a budget
 // cutoff returns the true canonical form for them.
+//
+//keyedeq:hot -- emits every canonical key; every segment appends into one byte buffer
 func (c *canonizer) encode() (string, bool) {
+	na := len(c.atomRel)
 	st := &encState{
 		num:  make([]int, len(c.color)),
-		used: make([]bool, len(c.atomRel)),
+		used: make([]bool, na),
+		encoding: encoding{
+			// Room for "H:" plus a head entry per position and a few
+			// bytes per atom argument; append grows it if need be.
+			buf:  make([]byte, 0, 2+4*len(c.head)+8*na+4*len(c.occAtom)),
+			ends: make([]int, 0, na+1),
+		},
 	}
 	for i := range st.num {
 		st.num[i] = -1
 	}
-	var hb strings.Builder
-	hb.WriteString("H:")
+	st.buf = append(st.buf, "H:"...)
 	for i, h := range c.head {
 		if i > 0 {
-			hb.WriteByte(',')
+			st.buf = append(st.buf, ',')
 		}
 		if h.isConst {
-			hb.WriteString("c" + h.cnst.String())
+			st.buf = append(st.buf, 'c')
+			st.buf = append(st.buf, h.cnst.String()...)
 			continue
 		}
-		c.writeClass(st, h.class, &hb)
+		c.writeClass(st, h.class)
 	}
-	st.out = append(st.out, hb.String())
+	st.ends = append(st.ends, len(st.buf))
 
 	budget := tieBreakBudget
-	var best []string
+	var best encoding
 	exact := c.search(st, &best, &budget)
-	return strings.Join(best, "|"), exact
+	return string(best.buf), exact
 }
 
-// writeClass appends the encoding of a class occurrence to b, assigning
-// the next de Bruijn number on first sight (with its constant binding,
-// so the equality list is fully captured by numbering plus bindings).
-func (c *canonizer) writeClass(st *encState, ci int, b *strings.Builder) {
+// writeClass appends the encoding of a class occurrence to st's buffer,
+// assigning the next de Bruijn number on first sight (with its constant
+// binding, so the equality list is fully captured by numbering plus
+// bindings).
+func (c *canonizer) writeClass(st *encState, ci int) {
 	first := st.num[ci] < 0
 	if first {
 		st.num[ci] = st.next
 		st.next++
 	}
-	b.WriteByte('#')
-	b.WriteString(strconv.Itoa(st.num[ci]))
+	st.buf = append(st.buf, '#')
+	st.buf = strconv.AppendInt(st.buf, int64(st.num[ci]), 10)
 	if first && c.classHasC[ci] {
-		b.WriteByte('=')
-		b.WriteString(c.classConst[ci].String())
+		st.buf = append(st.buf, '=')
+		st.buf = append(st.buf, c.constStr[ci]...)
 	}
 }
 
@@ -487,13 +544,22 @@ func (c *canonizer) writeClass(st *encState, ci int, b *strings.Builder) {
 // candidates, and records the lexicographically least complete encoding
 // in best.  It returns false when the budget ran out before the branch
 // space was exhausted.
+//
+// Candidate lists live on c.cands as a stack: each step pushes its frame
+// above the caller's and pops it when done.  A child's pushes land above
+// the frame a branching parent is still iterating, or in a regrown array
+// that leaves the parent's view untouched, so frames never clobber.
+//
 //keyedeq:hot -- budgeted branch-and-bound over candidate atom orders; every canonical key pays for it
-func (c *canonizer) search(st *encState, best *[]string, budget *int) bool {
+func (c *canonizer) search(st *encState, best *encoding, budget *int) bool {
 	exact := true
+	mark := len(c.cands)
+	defer func() { c.cands = c.cands[:mark] }()
 	for {
-		if len(st.out)-1 == len(c.atomRel) { // head segment + all atoms
-			if *best == nil || lessSeq(st.out, *best) {
-				*best = append([]string(nil), st.out...)
+		if len(st.ends)-1 == len(c.atomRel) { // head segment + all atoms
+			if best.ends == nil || prefixCompare(&st.encoding, best) < 0 {
+				best.buf = append(best.buf[:0], st.buf...)
+				best.ends = append(best.ends[:0], st.ends...)
 			}
 			return exact
 		}
@@ -501,6 +567,7 @@ func (c *canonizer) search(st *encState, best *[]string, budget *int) bool {
 		if *budget < 0 {
 			exact = false
 		}
+		c.cands = c.cands[:mark]
 		cands := c.pruneInterchangeable(st, c.minCandidates(st))
 		if !exact {
 			cands = cands[:1] // greedy completion once over budget
@@ -512,7 +579,7 @@ func (c *canonizer) search(st *encState, best *[]string, budget *int) bool {
 			// with zero state copies).
 			c.applyTo(st, cands[0])
 			// Prune once the extension is worse than the best encoding.
-			if *best != nil && prefixCompare(st.out, *best) > 0 {
+			if best.ends != nil && prefixCompare(&st.encoding, best) > 0 {
 				return exact
 			}
 			continue
@@ -520,7 +587,7 @@ func (c *canonizer) search(st *encState, best *[]string, budget *int) bool {
 		for _, ai := range cands {
 			child := c.apply(st, ai)
 			// Prune branches already worse than the best known encoding.
-			if *best != nil && prefixCompare(child.out, *best) > 0 {
+			if best.ends != nil && prefixCompare(&child.encoding, best) > 0 {
 				continue
 			}
 			if !c.search(child, best, budget) {
@@ -552,28 +619,30 @@ func (c *canonizer) stepKeyRow(st *encState, ai int, row []int) []int {
 	return row
 }
 
-// minCandidates returns the unused atoms whose step-key row is minimal.
+// minCandidates pushes the unused atoms whose step-key row is minimal
+// onto the candidate stack as a new frame and returns that frame.
 func (c *canonizer) minCandidates(st *encState) []int {
-	var bestRow, row []int
-	var out []int
+	mark := len(c.cands)
+	found := false
 	for ai := range c.atomRel {
 		if st.used[ai] {
 			continue
 		}
-		row = c.stepKeyRow(st, ai, row)
+		c.row = c.stepKeyRow(st, ai, c.row)
 		cmp := -1
-		if out != nil {
-			cmp = compareIntRows(row, bestRow)
+		if found {
+			cmp = slices.Compare(c.row, c.bestRow)
 		}
+		found = true
 		switch {
 		case cmp < 0:
-			bestRow = append(bestRow[:0], row...)
-			out = append(out[:0], ai)
+			c.bestRow = append(c.bestRow[:0], c.row...)
+			c.cands = append(c.cands[:mark], ai)
 		case cmp == 0:
-			out = append(out, ai)
+			c.cands = append(c.cands, ai)
 		}
 	}
-	return out
+	return c.cands[mark:]
 }
 
 // pruneInterchangeable drops candidates whose branches are automorphic
@@ -626,7 +695,8 @@ func (c *canonizer) atomPrivate(st *encState, ai int) bool {
 		if st.num[ci] >= 0 {
 			continue
 		}
-		for _, oa := range c.occAtom[ci] {
+		occAtom, _ := c.occurrences(ci)
+		for _, oa := range occAtom {
 			if oa != ai {
 				return false
 			}
@@ -638,61 +708,54 @@ func (c *canonizer) atomPrivate(st *encState, ai int) bool {
 // sameAtom reports atoms ai and aj are literally identical: same
 // relation, same classes in the same positions.
 func (c *canonizer) sameAtom(ai, aj int) bool {
-	if c.relColor[ai] != c.relColor[aj] || len(c.atomArgs[ai]) != len(c.atomArgs[aj]) {
-		return false
-	}
-	for p, ci := range c.atomArgs[ai] {
-		if ci != c.atomArgs[aj][p] {
-			return false
-		}
-	}
-	return true
+	return c.relColor[ai] == c.relColor[aj] && slices.Equal(c.atomArgs[ai], c.atomArgs[aj])
 }
 
 // applyTo emits atom ai onto st in place, assigning numbers to its
 // unassigned classes left to right.
 func (c *canonizer) applyTo(st *encState, ai int) {
 	st.used[ai] = true
-	var b strings.Builder
-	b.WriteString(c.atomRel[ai])
-	b.WriteByte('(')
+	st.buf = append(st.buf, '|')
+	st.buf = append(st.buf, c.atomRel[ai]...)
+	st.buf = append(st.buf, '(')
 	for p, ci := range c.atomArgs[ai] {
 		if p > 0 {
-			b.WriteByte(',')
+			st.buf = append(st.buf, ',')
 		}
-		c.writeClass(st, ci, &b)
+		c.writeClass(st, ci)
 	}
-	b.WriteByte(')')
-	st.out = append(st.out, b.String())
+	st.buf = append(st.buf, ')')
+	st.ends = append(st.ends, len(st.buf))
 }
 
-// apply emits atom ai onto a copy of st, for branching steps.
+// apply emits atom ai onto a copy of st, for branching steps.  The copy
+// keeps the parent's buffer capacity so the emission rarely regrows it.
 func (c *canonizer) apply(st *encState, ai int) *encState {
 	child := &encState{
-		num:  append([]int(nil), st.num...),
+		num:  slices.Clone(st.num),
 		next: st.next,
-		used: append([]bool(nil), st.used...),
-		out:  append([]string(nil), st.out...),
+		used: slices.Clone(st.used),
+		encoding: encoding{
+			buf:  append(make([]byte, 0, cap(st.buf)), st.buf...),
+			ends: append(make([]int, 0, cap(st.ends)), st.ends...),
+		},
 	}
 	c.applyTo(child, ai)
 	return child
 }
 
-// lessSeq reports a < b over encoded segment sequences.
-func lessSeq(a, b []string) bool { return prefixCompare(a, b) < 0 }
-
-// prefixCompare compares a against the first len(a) segments of b
+// prefixCompare compares a against the first len(a.ends) segments of b
 // (segment-wise lexicographic); a shorter a equal so far compares 0.
-func prefixCompare(a, b []string) int {
-	for i := range a {
-		if i >= len(b) {
+// Segment-wise order differs from comparing the joined buffers (the
+// '|' separator sorts after digits), and the canonical key is defined
+// by the former.
+func prefixCompare(a, b *encoding) int {
+	for i := range a.ends {
+		if i >= len(b.ends) {
 			return 1
 		}
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
+		if d := bytes.Compare(a.seg(i), b.seg(i)); d != 0 {
+			return d
 		}
 	}
 	return 0

@@ -267,13 +267,14 @@ func countResult(o *obs.Obs, r *Result) {
 	}
 }
 
-// emitVerify sends the closing span of one pair's decision, carrying
-// the verdict and the pair's merged containment.Stats.
-func emitVerify(ctx context.Context, o *obs.Obs, start time.Time, r *Result) {
+// emitVerify sends the closing span of one pair's decision, timed from
+// start to end, carrying the verdict and the pair's merged
+// containment.Stats.
+func emitVerify(ctx context.Context, o *obs.Obs, start, end time.Time, r *Result) {
 	if !o.SpansOn() {
 		return
 	}
-	o.EmitSpan(obs.WithPair(ctx, r.PairKey), obs.StageVerify, start, r.Err,
+	o.EmitSpanAt(obs.WithPair(ctx, r.PairKey), obs.StageVerify, start, end, r.Err,
 		obs.B("holds", r.Holds),
 		obs.B("cache_hit", r.CacheHit),
 		obs.B("deduped", r.Deduped),
@@ -293,7 +294,7 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 	start := o.Time()
 	defer func() {
 		countResult(o, &res)
-		emitVerify(ctx, o, start, &res)
+		emitVerify(ctx, o, start, o.Time(), &res)
 	}()
 	// An already-cancelled or expired context never starts work (small
 	// decisions can otherwise finish before the search polls ctx, which
@@ -378,19 +379,22 @@ type frozen struct {
 	// claimed hands the chase stats to exactly one pair.  The artifact
 	// is shared by every pair mentioning the query, but the chase ran
 	// once; attributing cs to each sharer would overcount, attributing
-	// to none would lose it.  The first claimant — whichever pair's
-	// worker gets there first — books it.
-	claimed atomic.Bool
+	// to none would lose it.  Run claims after its pool drains, in
+	// dispatch order, so the first pair to use the artifact books it
+	// whatever the workers' interleaving.
+	claimed bool
 }
 
 // claim returns the artifact's chase stats exactly once; later calls
-// (other pairs sharing the artifact) get zero.  Summing claimed stats
-// over a batch therefore equals the chase work actually performed,
-// which is what the obs reconciliation check enforces.
+// (other pairs sharing the artifact) get zero, as does a nil artifact
+// (one the pair never used).  Summing claimed stats over a batch
+// therefore equals the chase work actually performed, which is what
+// the obs reconciliation check enforces.  Not safe for concurrent use.
 func (f *frozen) claim() containment.Stats {
-	if !f.claimed.CompareAndSwap(false, true) {
+	if f == nil || f.claimed {
 		return containment.Stats{}
 	}
+	f.claimed = true
 	return containment.ChaseStats(f.cs)
 }
 
@@ -398,16 +402,20 @@ func (f *frozen) claim() containment.Stats {
 type batchState struct {
 	ctx    context.Context
 	consts []value.Value // every constant of the batch, reserved in every freeze
+	// repr maps each canonical key to the batch's first query with that
+	// key, the presentation its chase artifact is built from, so the
+	// artifact does not depend on which pair's worker asks first.
+	repr   map[string]*cq.Query
 	mu     sync.Mutex
 	frozen map[string]*frozen // canonical query key -> artifact
 }
 
-// frozenOf returns the chase artifact for the query with canonical key
-// k, computing it at most once per batch.  The freeze reserves every
-// constant of the whole batch so fresh nulls never collide with any
-// query's constants — the invariant that makes sharing the database
-// across pairs sound.
-func (e *Engine) frozenOf(b *batchState, k string, q *cq.Query) *frozen {
+// frozenOf returns the chase artifact for canonical key k, computing it
+// at most once per batch.  The freeze reserves every constant of the
+// whole batch so fresh nulls never collide with any query's constants —
+// the invariant that makes sharing the database across pairs sound.
+func (e *Engine) frozenOf(b *batchState, k string) *frozen {
+	q := b.repr[k]
 	b.mu.Lock()
 	f, ok := b.frozen[k]
 	if !ok {
@@ -485,10 +493,11 @@ func containedFrom(ctx context.Context, f *frozen, right *cq.Query, mode cq.Sear
 	return ok, containment.SearchStats(es.Nodes), err
 }
 
-// Run decides every job of the batch: canonicalize, dedupe identical
-// pairs, probe the cache, then fan the remaining work across the
-// worker pool.  Chase artifacts are shared per distinct query; the
-// homomorphism searches of each pair run under the per-job timeout.
+// Run decides every job of the batch in three phases: canonicalize the
+// distinct queries on the worker pool; then, on the caller's goroutine,
+// dedupe identical pairs and probe the cache; then fan the remaining
+// work across the pool.  Chase artifacts are shared per distinct query;
+// the homomorphism searches of each pair run under the per-job timeout.
 // Results are positionally aligned with jobs.
 func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	ctx, o := e.withObs(ctx)
@@ -498,45 +507,60 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		started = e.opts.Now()
 	}
 
-	// Canonicalize each distinct query once (batches repeat queries
-	// heavily: identity views, shared sides, regenerated corpora).  The
-	// second-level memo is keyed by printed presentation, so clones of
-	// one query — pointer-distinct but textually identical — share a
-	// single canonicalization.
-	canonOf := make(map[*cq.Query]string)
-	byPresentation := make(map[string]string)
-	keyOf := func(q *cq.Query) string {
-		if k, ok := canonOf[q]; ok {
-			return k
-		}
-		p := q.String()
-		k, ok := byPresentation[p]
+	// Keying phase: canonicalize each distinct query once, on the pool.
+	// Batches repeat queries heavily (identity views, shared sides,
+	// regenerated corpora), so the distinct query objects are collected
+	// first; workers then print each one and canonicalize each distinct
+	// presentation exactly once, so clones — pointer-distinct but
+	// textually identical — share a single canonicalization.
+	slotOf := make(map[*cq.Query]int)
+	var distinct []*cq.Query
+	leftSlot := make([]int, len(jobs))
+	rightSlot := make([]int, len(jobs))
+	slot := func(q *cq.Query) int {
+		s, ok := slotOf[q]
 		if !ok {
-			k = e.canonicalize(ctx, o, q)
-			byPresentation[p] = k
+			s = len(distinct)
+			slotOf[q] = s
+			distinct = append(distinct, q)
 		}
-		canonOf[q] = k
-		return k
+		return s
 	}
+	for i, j := range jobs {
+		if err := containment.CheckComparable(j.Left, j.Right, e.s); err != nil {
+			rep.Results[i] = Result{Err: err}
+			leftSlot[i] = -1
+			continue
+		}
+		leftSlot[i], rightSlot[i] = slot(j.Left), slot(j.Right)
+	}
+	keys := make([]string, len(distinct))
+	memo := &canonMemo{byPresentation: make(map[string]*canonEntry, len(distinct))}
+	fanOut(e.opts.Workers, len(distinct), func(s int) {
+		keys[s] = memo.key(distinct[s].String(), func() string {
+			return e.canonicalize(ctx, o, distinct[s])
+		})
+	})
 
 	// Group jobs by canonical pair key; one leader computes, the rest
-	// copy.  qKeys remembers each job's (left, right) canonical keys.
+	// copy.
 	type group struct {
 		leader  int
 		indexes []int
 	}
 	groups := make(map[string]*group)
 	var order []string // deterministic dispatch order
-	leftKey := make([]string, len(jobs))
-	rightKey := make([]string, len(jobs))
+	repr := make(map[string]*cq.Query, len(distinct))
+	for s, k := range keys {
+		if _, ok := repr[k]; !ok {
+			repr[k] = distinct[s]
+		}
+	}
 	for i, j := range jobs {
-		if err := containment.CheckComparable(j.Left, j.Right, e.s); err != nil {
-			rep.Results[i] = Result{Err: err}
+		if leftSlot[i] < 0 {
 			continue
 		}
-		leftKey[i] = keyOf(j.Left)
-		rightKey[i] = keyOf(j.Right)
-		pk := pairKey(j.Op, leftKey[i], rightKey[i])
+		pk := pairKey(j.Op, keys[leftSlot[i]], keys[rightSlot[i]])
 		rep.Results[i].PairKey = pk
 		g, ok := groups[pk]
 		if !ok {
@@ -559,7 +583,8 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 				rep.Results[i].Holds = v.Holds
 				rep.Results[i].CacheHit = true
 				rep.Results[i].Stats = v.Stats
-				emitVerify(ctx, o, o.Time(), &rep.Results[i])
+				now := o.Time()
+				emitVerify(ctx, o, now, now, &rep.Results[i])
 			}
 			continue
 		}
@@ -567,51 +592,45 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	}
 
 	// Compute the remaining groups on the pool.
-	bs := &batchState{ctx: ctx, frozen: make(map[string]*frozen)}
-	bs.consts = batchConstants(jobs)
-	var wg sync.WaitGroup
-	ch := make(chan string)
-	workers := e.opts.Workers
-	if workers > len(work) {
-		workers = len(work)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pk := range ch {
-				g := groups[pk]
-				j := jobs[g.leader]
-				start := o.Time()
-				res := e.runLeader(bs, j, leftKey[g.leader], rightKey[g.leader])
-				res.PairKey = pk
-				rep.Results[g.leader] = res
-				// Cancellation and timeout never reach the cache: the
-				// partial verdict would shadow a real decision on retry.
-				if res.Err == nil && e.cache != nil {
-					e.cachePut(o, pk, Verdict{Holds: res.Holds, Stats: res.Stats})
-				}
-				emitVerify(ctx, o, start, &res)
-				for _, i := range g.indexes[1:] {
-					dup := res
-					dup.Deduped = true
-					// A dedup copy carries none of the leader's work,
-					// only the vacuity marker the verdict depends on.
-					dup.Stats = containment.Stats{}
-					if res.Stats.ChaseFailed {
-						dup.Stats = containment.FailedChaseStats()
-					}
-					rep.Results[i] = dup
-					emitVerify(ctx, o, start, &dup)
-				}
+	bs := &batchState{ctx: ctx, consts: batchConstants(jobs), repr: repr, frozen: make(map[string]*frozen)}
+	runs := make([]leaderRun, len(work))
+	fanOut(e.opts.Workers, len(work), func(w int) {
+		g := groups[work[w]]
+		r := &runs[w]
+		r.start = o.Time()
+		r.res, r.left, r.right = e.runLeader(bs, jobs[g.leader], keys[leftSlot[g.leader]], keys[rightSlot[g.leader]])
+		r.end = o.Time()
+	})
+
+	// Publish in dispatch order: book each shared chase artifact's work
+	// to the first pair that used it, then cache, trace and copy the
+	// verdict to the group's duplicates.
+	for w, pk := range work {
+		g, r := groups[pk], &runs[w]
+		res := r.res
+		res.Stats.Merge(r.left.claim())
+		res.Stats.Merge(r.right.claim())
+		res.PairKey = pk
+		rep.Results[g.leader] = res
+		// Cancellation and timeout never reach the cache: the partial
+		// verdict would shadow a real decision on retry.
+		if res.Err == nil && e.cache != nil {
+			e.cachePut(o, pk, Verdict{Holds: res.Holds, Stats: res.Stats})
+		}
+		emitVerify(ctx, o, r.start, r.end, &res)
+		for _, i := range g.indexes[1:] {
+			dup := res
+			dup.Deduped = true
+			// A dedup copy carries none of the leader's work, only the
+			// vacuity marker the verdict depends on.
+			dup.Stats = containment.Stats{}
+			if res.Stats.ChaseFailed {
+				dup.Stats = containment.FailedChaseStats()
 			}
-		}()
+			rep.Results[i] = dup
+			emitVerify(ctx, o, r.start, r.end, &dup)
+		}
 	}
-	for _, pk := range work {
-		ch <- pk
-	}
-	close(ch)
-	wg.Wait()
 
 	for i := range rep.Results {
 		r := &rep.Results[i]
@@ -642,38 +661,98 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	return rep
 }
 
+// fanOut calls fn(0), …, fn(n-1) across up to workers goroutines,
+// handing indexes out in ascending order, and returns when every call
+// has.  With one worker (or one task) the calls run in order on the
+// caller's goroutine, so Workers: 1 stays strictly sequential.
+func fanOut(workers, n int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// canonEntry is one presentation's canonical key, computed once.
+type canonEntry struct {
+	once sync.Once
+	key  string
+}
+
+// canonMemo maps printed presentations to their canonical keys for one
+// batch, so concurrent workers holding clones of a query canonicalize
+// it once: the first computes under the entry's Once, the rest wait on
+// it (the same pattern as frozenOf's chase artifacts).
+type canonMemo struct {
+	mu             sync.Mutex
+	byPresentation map[string]*canonEntry
+}
+
+// key returns the canonical key of presentation p, calling compute at
+// most once per presentation.
+func (m *canonMemo) key(p string, compute func() string) string {
+	m.mu.Lock()
+	ce, ok := m.byPresentation[p]
+	if !ok {
+		ce = &canonEntry{}
+		m.byPresentation[p] = ce
+	}
+	m.mu.Unlock()
+	ce.once.Do(func() { ce.key = compute() })
+	return ce.key
+}
+
+// leaderRun is one dispatched group's outcome on the pool: the leader's
+// Result before chase work is booked, the chase artifacts it used (nil
+// when unused), and its start and end readings of the injected clock.
+type leaderRun struct {
+	res         Result
+	left, right *frozen
+	start, end  time.Time
+}
+
 // runLeader decides one deduplicated pair using the batch's memoized
-// chase artifacts.
-func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) Result {
+// chase artifacts, returning the artifacts it used so the caller can
+// book their chase work.
+func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, *frozen, *frozen) {
 	jctx := bs.ctx
 	if err := jctx.Err(); err != nil {
-		return Result{Err: err}
+		return Result{Err: err}, nil, nil
 	}
 	// Equal canonical keys mean the queries are isomorphic (a key is a
 	// faithful encoding even when inexact), so both ops hold with no
 	// chase or homomorphism search at all.
 	if lk == rk {
-		return Result{Holds: true}
+		return Result{Holds: true}, nil, nil
 	}
 	if e.opts.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		jctx, cancel = context.WithTimeout(jctx, e.opts.JobTimeout)
 		defer cancel()
 	}
-	fl := e.frozenOf(bs, lk, j.Left)
+	fl := e.frozenOf(bs, lk)
 	ok, st, err := containedFrom(jctx, fl, j.Right, e.searchMode())
-	// Chase work is attributed to exactly one pair: the first to claim
-	// the shared artifact.  Sharers after that merge a zero value, so
-	// batch-wide sums match the chase work actually performed.
-	st.Merge(fl.claim())
 	if err != nil || !ok || j.Op == OpContained {
-		return Result{Holds: ok, Stats: st, Err: err}
+		return Result{Holds: ok, Stats: st, Err: err}, fl, nil
 	}
-	fr := e.frozenOf(bs, rk, j.Right)
+	fr := e.frozenOf(bs, rk)
 	ok2, st2, err := containedFrom(jctx, fr, j.Left, e.searchMode())
 	st.Merge(st2)
-	st.Merge(fr.claim())
-	return Result{Holds: ok2, Stats: st, Err: err}
+	return Result{Holds: ok2, Stats: st, Err: err}, fl, fr
 }
 
 // batchConstants collects every constant mentioned by any query of the

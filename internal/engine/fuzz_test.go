@@ -18,18 +18,7 @@ import (
 //     atom reordering, equality restructuring — map to the same key, and
 //     the key is stable across repeated computation.
 func FuzzCanonicalKey(f *testing.F) {
-	seeds := []string{
-		"Q(X, Y) :- P(X, Y).",
-		"Q(X) :- R(X, Y), S(Z, W), Y = Z, W = T1:3.",
-		"Q(T1:7, Y) :- P(X, Y).",
-		"V(X, X) :- P(X, Y), X = Y.",
-		"V(X) :- E(X, Y), E(X2, Y2), X = X2, Y = Y2.",
-		"V(X) :- E(X, Y), Y = T1:1, Y = T1:2.",
-		"Q(X) :- P(X, Y), T1:1 = T1:2.",
-		"V(A) :- E(A, B), E(C, D), E(E2, F), B = C, D = E2.",
-		"V(X0) :- E(X0, Y0), E(X1, Y1), E(X2, Y2), X0 = X1, X1 = X2.",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s, int64(1))
 	}
 	f.Fuzz(func(t *testing.T, text string, seed int64) {

@@ -7,6 +7,8 @@ import (
 
 	"keyedeq/internal/chase"
 	"keyedeq/internal/containment"
+	"keyedeq/internal/cq"
+	"keyedeq/internal/engine"
 	"keyedeq/internal/fd"
 	"keyedeq/internal/gen"
 	"keyedeq/internal/instance"
@@ -30,6 +32,11 @@ const (
 	// committed by the hot-path allocation PR (down from 271 pre-fix);
 	// the interned search must beat it.
 	seedSearchAllocs = 258
+	// seedCanonAllocs is the canon/wide workload measured on the
+	// canonicalization kernel before its allocation pass (one
+	// sort.Slice closure and index slice per rankRows call, one row
+	// slice per class, one strings.Builder per encoded atom).
+	seedCanonAllocs = 485
 	// seedInternAllocs is the million-tuple build staged through the
 	// map-backed Database and frozen (one MustInsert per tuple, then
 	// FreezeDatabase), which the Interner + flat-row bulk load replaces.
@@ -64,20 +71,21 @@ func (r *AllocBenchResult) Case(name string) (AllocCaseResult, bool) {
 
 // AllocCaseNames lists the cases every complete record must carry.
 func AllocCaseNames() []string {
-	return []string{"chase/rows-1000", "search/clique-4", "intern/rows-1M"}
+	return []string{"chase/rows-1000", "search/clique-4", "intern/rows-1M", "canon/wide"}
 }
 
-// A1AllocBench measures allocations per operation of the two hot-path
-// kernels the allocation lint rules police — one semi-naive chase run
-// and one freeze-chase-search containment check — via testing.Benchmark
-// with the exact workloads of BenchmarkT4Chase/rows-1000 and
-// BenchmarkT3Containment/clique-4.  A case that fails to run is noted
-// in the table and omitted from the record, which the verify gate then
-// rejects as incomplete.
+// A1AllocBench measures allocations per operation of the hot-path
+// kernels the allocation lint rules police — one semi-naive chase run,
+// one freeze-chase-search containment check (the exact workloads of
+// BenchmarkT4Chase/rows-1000 and BenchmarkT3Containment/clique-4), the
+// interned bulk load, and one canonicalization — via
+// testing.Benchmark.  A case that fails to run is noted in the table
+// and omitted from the record, which the verify gate then rejects as
+// incomplete.
 func A1AllocBench() (*Table, *AllocBenchResult) {
 	t := &Table{
 		ID:      "A1",
-		Title:   "hot-path allocations per operation (chase + homomorphism search)",
+		Title:   "hot-path allocations per operation (chase, search, interning, canonicalization)",
 		Columns: []string{"case", "allocs/op", "bytes/op", "seed allocs/op"},
 	}
 	res := &AllocBenchResult{}
@@ -89,6 +97,7 @@ func A1AllocBench() (*Table, *AllocBenchResult) {
 		{"chase/rows-1000", seedChaseAllocs, allocChaseRun},
 		{"search/clique-4", seedSearchAllocs, allocSearchRun},
 		{"intern/rows-1M", seedInternAllocs, allocInternRun},
+		{"canon/wide", seedCanonAllocs, allocCanonRun},
 	} {
 		var runErr error
 		r := testing.Benchmark(func(b *testing.B) {
@@ -188,6 +197,28 @@ func allocSearchRun(b *testing.B) error {
 		}
 		if !ok {
 			return fmt.Errorf("clique-4 containment unexpectedly false")
+		}
+	}
+	return nil
+}
+
+// allocCanonRun is the canonicalization kernel on the wide corpus
+// family's variant bases: gen.WideChainVariant chains of 12, 16 and 20
+// links (one or two redundant atoms each, fixed seed), one canonical key
+// per operation, cycling the three.  Every canonical key the engine
+// computes — a daemon request's two, a batch's distinct queries — runs
+// this kernel.
+func allocCanonRun(b *testing.B) error {
+	rng := rand.New(rand.NewSource(3))
+	var qs []*cq.Query
+	for _, n := range []int{12, 16, 20} {
+		qs = append(qs, gen.WideChainVariant(rng, n, 1+rng.Intn(2)))
+	}
+	s := gen.WideSchema()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := engine.CanonicalizeQuery(qs[i%len(qs)], s); c.Key == "" {
+			return fmt.Errorf("empty canonical key for %s", qs[i%len(qs)])
 		}
 	}
 	return nil
