@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test debug race lint lint-json lint-hot qvet fuzz-smoke vet vet-debug bench bench-verify bench-hom bench-hom-verify bench-alloc bench-alloc-verify bench-intern-verify bench-stream-verify obs-verify serve-smoke cover all
+.PHONY: build test debug race lint lint-json lint-hot qvet fuzz-smoke vet vet-debug bench bench-verify bench-hom bench-hom-verify bench-alloc bench-alloc-verify search-verify obs-verify serve-smoke cover all
 
 all: build vet vet-debug test lint qvet
 
@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzAllowDirective$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzHotDirective$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cq -run '^$$' -fuzz '^FuzzInternRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreReplay$$' -fuzztime $(FUZZTIME)
 
 # bench writes the batch engine's machine-readable regression record
 # (engine-vs-sequential wall time, node counts, cache hit rates).
@@ -96,26 +97,15 @@ bench-alloc:
 bench-alloc-verify:
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json
 
-# bench-intern-verify gates the interned runtime: the differential wall
-# (interned vs generic verdicts, witnesses, and chase fingerprints over
-# every corpus family) plus the allocation record, whose chase and
-# search cases must hold strictly under the pre-interning committed
-# records (882 and 258 allocs/op).
-bench-intern-verify:
-	$(GO) test ./internal/cq -run 'TestInterned|TestCancelObservedInterned' -count=1
-	$(GO) test ./internal/containment -run 'TestInterned' -count=1
-	$(GO) test ./internal/chase -run 'TestDenseChase|TestCanonicalDatabaseFreeze' -count=1
-	$(GO) test ./internal/engine -run 'TestGenericSearch' -count=1
+# search-verify gates the homomorphism search under the race detector:
+# the containment wall (adaptive vs naive verdicts and verified
+# witnesses on every corpus family, plus the metamorphic sweeps), the
+# in-package forced-arm parity and cancellation suites, and the Eval
+# golden record; then the allocation record.
+search-verify:
+	$(GO) test -race ./internal/containment -run 'TestPlannedVsNaive|TestInterned' -count=1
+	$(GO) test -race ./internal/cq -run 'TestEvalGolden|TestPlanned|TestStreamed|TestScanID|TestAdaptive|TestParallel|TestInterned|TestCancelObserved' -count=1
 	$(GO) run ./cmd/keyedeq-bench -record alloc -verify-bench BENCH_alloc.json
-
-# bench-stream-verify gates the streamed iterator runtime under the race
-# detector: the three-way differential wall (streamed vs both oracles on
-# every corpus family, verdicts + stats + witnesses), the in-package
-# parity and parallel-component suites, and the cancellation contracts.
-bench-stream-verify:
-	$(GO) test -race ./internal/cq -run 'TestStreamed|TestScanID|TestAdaptive|TestParallel|TestCancelObservedStreamed|TestCancelObservedAdaptive' -count=1
-	$(GO) test -race ./internal/containment -run 'TestStreamedVs|TestAdaptiveVs' -count=1
-	$(GO) test -race ./internal/ra -run 'TestStream|TestFromCQPlanned' -count=1
 
 # obs-verify gates the observability layer: the reconciliation smoke
 # tests (exported metric totals must equal the summed per-job Stats)

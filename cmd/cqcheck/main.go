@@ -43,13 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	witness := fs.Bool("witness", false, "print the homomorphism certificates")
 	sql := fs.Bool("sql", false, "render -q1 as SQL")
 	dataFile := fs.String("d", "", "database file to evaluate -q1 over")
-	var sf cli.SearchFlags
-	sf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := sf.Apply(); err != nil {
-		fmt.Fprintf(stderr, "cqcheck: %v\n", err)
 		return 2
 	}
 

@@ -64,13 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verifyObs := fs.String("verify-obs", "", "run the observability overhead gate and cross-check node totals against this H1 record")
 	var of cli.ObsFlags
 	of.Register(fs)
-	var sf cli.SearchFlags
-	sf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := sf.Apply(); err != nil {
-		fmt.Fprintf(stderr, "keyedeq-bench: %v\n", err)
 		return 2
 	}
 	if *record != "engine" && *record != "hom" && *record != "alloc" {

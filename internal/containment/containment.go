@@ -103,32 +103,46 @@ func ContainedUnder(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Sta
 
 // ContainedUnderCtx is ContainedUnder with cancellation: both the chase
 // and the homomorphism search poll ctx and abort with its error when it
-// is done.  The search runs in cq.SearchDefault mode (interned unless a
-// command layer selected the generic fallback at startup).
+// is done.
 func ContainedUnderCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, error) {
-	return ContainedUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchDefault)
+	ok, st, _, err := containedUnder(ctx, q1, q2, s, deps, cq.FindAnswerBindingCtx)
+	return ok, st, err
 }
 
-// ContainedUnderCtxMode is ContainedUnderCtx with an explicit
-// homomorphism search mode; the naive mode drives the differential tests
-// and the planned-vs-naive benchmark record.
+// searchFunc is the homomorphism search containment runs on its
+// canonical database: cq.FindAnswerBindingCtx in production, and
+// cq.FindAnswerBindingNaive in the differential tests.
+type searchFunc func(ctx context.Context, q *cq.Query, d *instance.Database, want instance.Tuple) (bool, map[cq.Var]value.Value, cq.EvalStats, error)
+
+// witness is what a successful search found, with what translating it
+// back to q1's terms needs: q1's frozen variable terms and the database
+// value of every chased term.  It is empty (nil binding) when the
+// search found nothing or the containment held vacuously.
+type witness struct {
+	binding map[cq.Var]value.Value
+	vars    map[cq.Var]chase.Term
+	valOf   map[chase.Term]value.Value
+}
+
+// containedUnder freezes q1 into its canonical database, chases it
+// under deps, and runs search for q1's frozen head on q2.
 //
 //keyedeq:hot -- freeze-chase-search is the decision procedure every engine verdict runs
-func ContainedUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
+func containedUnder(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, search searchFunc) (bool, Stats, witness, error) {
 	var stats Stats
 	if err := CheckComparable(q1, q2, s); err != nil {
-		return false, stats, err
+		return false, stats, witness{}, err
 	}
 	o := obs.FromContext(ctx)
 	// Freeze q1 into its canonical database.
 	tb := chase.NewTableau(s)
 	vars, err := chase.Freeze(tb, q1)
 	if err != nil {
-		return false, stats, err
+		return false, stats, witness{}, err
 	}
 	head, err := chase.HeadTerms(tb, q1, vars)
 	if err != nil {
-		return false, stats, err
+		return false, stats, witness{}, err
 	}
 	if len(deps) > 0 {
 		// Record the chase's partial work even when it is cut short by
@@ -151,7 +165,7 @@ func ContainedUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Sche
 				obs.B("failed", tb.Failed()))
 		}
 		if cerr != nil {
-			return false, stats, cerr
+			return false, stats, witness{}, cerr
 		}
 	}
 	if tb.Failed() {
@@ -159,7 +173,7 @@ func ContainedUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Sche
 		// can fail (query equalities forcing distinct constants), so set
 		// the flag here too, not only on the chase path above.
 		stats.ChaseFailed = true
-		return true, stats, nil
+		return true, stats, witness{}, nil
 	}
 	var alloc value.Allocator
 	for _, c := range q1.Constants() {
@@ -170,16 +184,16 @@ func ContainedUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Sche
 	}
 	db, valOf, err := tb.ToDatabase(&alloc)
 	if err != nil {
-		return false, stats, err
+		return false, stats, witness{}, err
 	}
 	want := make(instance.Tuple, len(head))
 	for i, h := range head {
 		want[i] = valOf[h]
 	}
-	ok, _, es, err := cq.FindAnswerBindingCtxMode(ctx, q2, db, want, mode)
+	ok, binding, es, err := search(ctx, q2, db, want)
 	stats.Nodes = es.Nodes
 	stats.Searches = 1
-	return ok, stats, err
+	return ok, stats, witness{binding: binding, vars: vars, valOf: valOf}, err
 }
 
 // Equivalent reports whether q1 ≡ q2 over all instances of s.
@@ -193,25 +207,18 @@ func EquivalentUnder(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, St
 	return EquivalentUnderCtx(context.Background(), q1, q2, s, deps)
 }
 
-// EquivalentUnderMode is EquivalentUnder with an explicit homomorphism
-// search mode; the naive mode drives differential tests and benchmarks.
-func EquivalentUnderMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
-	return EquivalentUnderCtxMode(context.Background(), q1, q2, s, deps, mode)
-}
-
 // EquivalentUnderCtx is EquivalentUnder with cancellation via ctx.
 func EquivalentUnderCtx(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (bool, Stats, error) {
-	return EquivalentUnderCtxMode(ctx, q1, q2, s, deps, cq.SearchDefault)
+	return equivalentUnder(ctx, q1, q2, s, deps, cq.FindAnswerBindingCtx)
 }
 
-// EquivalentUnderCtxMode is EquivalentUnderCtx with an explicit
-// homomorphism search mode.
-func EquivalentUnderCtxMode(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (bool, Stats, error) {
-	ok, st1, err := ContainedUnderCtxMode(ctx, q1, q2, s, deps, mode)
+// equivalentUnder decides mutual containment with search.
+func equivalentUnder(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, search searchFunc) (bool, Stats, error) {
+	ok, st1, _, err := containedUnder(ctx, q1, q2, s, deps, search)
 	if err != nil || !ok {
 		return false, st1, err
 	}
-	ok, st2, err := ContainedUnderCtxMode(ctx, q2, q1, s, deps, mode)
+	ok, st2, _, err := containedUnder(ctx, q2, q1, s, deps, search)
 	st1.Merge(st2)
 	return ok, st1, err
 }

@@ -9,12 +9,22 @@ import (
 	"keyedeq/internal/value"
 )
 
-// Metamorphic invariants of the interned decision path: verdicts must
-// not change under surface transformations that preserve query
-// semantics — α-renaming with atom reorder, and injective renaming of
-// the constant values themselves.  Both transformations scramble the
-// order in which the freeze step first sees values, so they exercise
-// the claim that verdicts never depend on the ID assignment.
+// Metamorphic invariants of the default decision path, whose pipeline
+// arm searches the canonical database's interned (frozen) view:
+// verdicts must not change under surface transformations that preserve
+// query semantics — α-renaming with atom reorder, and injective
+// renaming of the constant values themselves.  Both transformations
+// scramble the order in which the freeze step first sees values, so
+// they exercise the claim that verdicts never depend on the ID
+// assignment.
+
+// internedFamilies are the schema families the metamorphic sweeps
+// cover: the keyed and wide families exercise EGD-heavy chases feeding
+// the search, and the star/long graph families exercise fan-out and
+// deep-chain search shapes.
+func internedFamilies() []string {
+	return []string{"keyed", "wide", "graph-star", "graph-long"}
+}
 
 // renameQueryConsts applies an injective value renaming f to every
 // constant of q (equality bindings and head constants; body atoms carry
@@ -47,7 +57,7 @@ func TestInternedVerdictInvariantUnderAlphaVariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, p := range f.Pairs {
-				base, _, err := EquivalentUnderMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchInterned)
+				base, _, err := EquivalentUnder(p.Left, p.Right, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,7 +65,7 @@ func TestInternedVerdictInvariantUnderAlphaVariants(t *testing.T) {
 				// freeze's first-sight ID order; the verdict must not move.
 				l2 := gen.AlphaVariant(rng, p.Left)
 				r2 := gen.AlphaVariant(rng, p.Right)
-				got, _, err := EquivalentUnderMode(l2, r2, f.Schema, f.Deps, cq.SearchInterned)
+				got, _, err := EquivalentUnder(l2, r2, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,7 +98,7 @@ func TestInternedVerdictInvariantUnderValueRenaming(t *testing.T) {
 			}
 			renamed := 0
 			for i, p := range f.Pairs {
-				base, _, err := EquivalentUnderMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchInterned)
+				base, _, err := EquivalentUnder(p.Left, p.Right, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,7 +107,7 @@ func TestInternedVerdictInvariantUnderValueRenaming(t *testing.T) {
 				if l2.String() != p.Left.String() || r2.String() != p.Right.String() {
 					renamed++
 				}
-				got, _, err := EquivalentUnderMode(l2, r2, f.Schema, f.Deps, cq.SearchInterned)
+				got, _, err := EquivalentUnder(l2, r2, f.Schema, f.Deps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,8 +125,8 @@ func TestInternedVerdictInvariantUnderValueRenaming(t *testing.T) {
 
 // TestInternerDeterminismOnCanonicalDatabases pins the freeze side of
 // the metamorphic wall directly: freezing the same canonical database
-// twice yields bit-identical ID tables, so the interned search's ID
-// space is a pure function of the database contents.
+// twice yields bit-identical ID tables, so the search's ID space is a
+// pure function of the database contents.
 func TestInternerDeterminismOnCanonicalDatabases(t *testing.T) {
 	rng := rand.New(rand.NewSource(10300))
 	f, err := gen.PairCorpus(rng, "keyed", 60)
@@ -124,16 +134,16 @@ func TestInternerDeterminismOnCanonicalDatabases(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range f.Pairs {
-		hom, ok, err := FindHomomorphismMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchInterned)
+		hom, ok, err := FindHomomorphism(p.Left, p.Right, f.Schema, f.Deps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hom2, ok2, err := FindHomomorphismMode(p.Left, p.Right, f.Schema, f.Deps, cq.SearchInterned)
+		hom2, ok2, err := FindHomomorphism(p.Left, p.Right, f.Schema, f.Deps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok != ok2 || (ok && hom.String() != hom2.String()) {
-			t.Fatalf("%s: repeated interned decision diverged: (%v, %s) vs (%v, %s)",
+			t.Fatalf("%s: repeated decision diverged: (%v, %s) vs (%v, %s)",
 				p.Note, ok, hom, ok2, hom2)
 		}
 	}

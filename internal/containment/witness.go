@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,7 +9,6 @@ import (
 	"keyedeq/internal/chase"
 	"keyedeq/internal/cq"
 	"keyedeq/internal/fd"
-	"keyedeq/internal/instance"
 	"keyedeq/internal/schema"
 	"keyedeq/internal/value"
 )
@@ -38,49 +38,14 @@ func (h Homomorphism) String() string {
 // canonical database; a vacuous containment (failing chase) returns
 // ok=true with a nil homomorphism.
 func FindHomomorphism(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD) (Homomorphism, bool, error) {
-	return FindHomomorphismMode(q1, q2, s, deps, cq.SearchPlanned)
+	return findHomomorphism(q1, q2, s, deps, cq.FindAnswerBindingCtx)
 }
 
-// FindHomomorphismMode is FindHomomorphism with an explicit homomorphism
-// search mode; differential tests verify both modes' witnesses.
-func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode cq.SearchMode) (Homomorphism, bool, error) {
-	if err := CheckComparable(q1, q2, s); err != nil {
-		return nil, false, err
-	}
-	tb := chase.NewTableau(s)
-	vars, err := chase.Freeze(tb, q1)
-	if err != nil {
-		return nil, false, err
-	}
-	head, err := chase.HeadTerms(tb, q1, vars)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(deps) > 0 {
-		if _, err := tb.Run(deps); err != nil {
-			return nil, false, err
-		}
-	}
-	if tb.Failed() {
-		return nil, true, nil
-	}
-	var alloc value.Allocator
-	for _, c := range q1.Constants() {
-		alloc.Reserve(c)
-	}
-	for _, c := range q2.Constants() {
-		alloc.Reserve(c)
-	}
-	db, valOf, err := tb.ToDatabase(&alloc)
-	if err != nil {
-		return nil, false, err
-	}
-	want := make(instance.Tuple, len(head))
-	for i, h := range head {
-		want[i] = valOf[h]
-	}
-	ok, binding, _, err := cq.FindAnswerBindingMode(q2, db, want, mode)
-	if err != nil || !ok {
+// findHomomorphism is FindHomomorphism running search on the chased
+// canonical database.
+func findHomomorphism(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, search searchFunc) (Homomorphism, bool, error) {
+	ok, _, w, err := containedUnder(context.Background(), q1, q2, s, deps, search)
+	if err != nil || !ok || w.binding == nil {
 		return nil, ok, err
 	}
 	// Translate the value binding back to q1 terms: each frozen value
@@ -88,13 +53,13 @@ func FindHomomorphismMode(q1, q2 *cq.Query, s *schema.Schema, deps []fd.FD, mode
 	// constants map to themselves.
 	valToVar := make(map[value.Value]cq.Var)
 	for _, v := range q1.BodyVars() {
-		val := valOf[vars[v]]
+		val := w.valOf[w.vars[v]]
 		if _, seen := valToVar[val]; !seen {
 			valToVar[val] = v
 		}
 	}
-	hom := make(Homomorphism, len(binding))
-	for v2, val := range binding {
+	hom := make(Homomorphism, len(w.binding))
+	for v2, val := range w.binding {
 		if v1, ok := valToVar[val]; ok {
 			hom[v2] = cq.Term{Var: v1}
 		} else {

@@ -7,15 +7,14 @@ import (
 	"keyedeq/internal/value"
 )
 
-// This file is the SearchAdaptive dispatcher — the default search
-// mode.  It consults the cost model (cost.go) to choose, per query and
-// database, between the dense ID scan (scan_id.go) and the streamed
+// This file is the homomorphism search's dispatcher — the one
+// production search.  It consults the cost model (cost.go) to choose,
+// per query and database, between the dense scan (scan_id.go) and the streamed
 // iterator pipeline (iter.go), and fans the pipeline's connected
 // components out to a bounded worker pool (parallel.go) when the model
 // says the work justifies it.
 
-// findAnswerAdaptive is the SearchAdaptive implementation behind
-// FindAnswerBindingCtx.
+// findAnswerAdaptive is the search behind FindAnswerBindingCtx.
 func findAnswerAdaptive(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
 	cfg := &costCfg
 	var stats EvalStats
@@ -58,12 +57,7 @@ func findAnswerAdaptive(ctx context.Context, q *Query, d *instance.Database, wan
 		return scanIDCore(ctx, q, want, eq, rels)
 	}
 	s := newStreamSearcher(ctx, plan, fz, &stats)
-	for _, pb := range pres {
-		if id, ok := plan.classOf[pb.root]; ok {
-			s.binding[id] = s.internID(pb.val)
-			s.bound[id] = true
-		}
-	}
+	s.prebind(pres)
 	var ok bool
 	if choice.parallel {
 		ok, err = runComponentsParallel(s, plan, choice.workers)
@@ -73,5 +67,5 @@ func findAnswerAdaptive(ctx context.Context, q *Query, d *instance.Database, wan
 	if err != nil || !ok {
 		return false, nil, stats, err
 	}
-	return true, decodeWitness(&s.idSearchCore, plan, q, eq), stats, nil
+	return true, decodeWitness(s, plan, q, eq), stats, nil
 }

@@ -6,10 +6,10 @@ import (
 	"keyedeq/internal/instance"
 )
 
-// This file is the cost model behind SearchAdaptive: a cheap,
+// This file is the cost model behind the adaptive search: a cheap,
 // plan-time estimate that chooses, per query and database, between the
 // streamed iterator pipeline (iter.go) and the dense ID scan
-// (scan_interned.go), and decides when the plan's connected components
+// (scan_id.go), and decides when the plan's connected components
 // are worth searching in parallel (parallel.go).
 //
 // The model has two tiers.  Tier 0 runs before any plan is built: when

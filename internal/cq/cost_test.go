@@ -334,17 +334,15 @@ func TestCostModelCliqueMisprediction(t *testing.T) {
 	plan := costPlanFor(t, q, d)
 	choice := choosePlan(d.Frozen(), plan, &cfg)
 
-	pipeOK, _, pipeStats, err := FindAnswerBindingCtxMode(context.Background(), q, d, instance.Tuple{}, SearchStreamed)
-	if err != nil {
-		t.Fatal(err)
+	pipe := searchWith(t, pipelineArmConfig(1), context.Background(), q, d, instance.Tuple{})
+	scan := searchWith(t, scanArmConfig(), context.Background(), q, d, instance.Tuple{})
+	if pipe.err != nil || scan.err != nil {
+		t.Fatal(pipe.err, scan.err)
 	}
-	scanOK, _, scanStats, err := FindAnswerBindingCtxMode(context.Background(), q, d, instance.Tuple{}, SearchInterned)
-	if err != nil {
-		t.Fatal(err)
+	if pipe.ok != scan.ok {
+		t.Fatalf("arms disagree on the verdict: pipeline=%v scan=%v", pipe.ok, scan.ok)
 	}
-	if pipeOK != scanOK {
-		t.Fatalf("runtimes disagree on the verdict: streamed=%v interned=%v", pipeOK, scanOK)
-	}
+	pipeStats, scanStats := pipe.es, scan.es
 
 	// Price the measured runs with the model's own weights.  The scan
 	// arm has no setup; the pipeline pays plan compilation and the index

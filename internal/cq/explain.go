@@ -34,7 +34,7 @@ type PlanInfo struct {
 	EstScanNodes     float64
 }
 
-// ExplainPlan reports how SearchAdaptive would run q's enumeration
+// ExplainPlan reports how the adaptive search would run q's enumeration
 // over d (constants prebound, head classes free — the Eval planning
 // view).  It performs no search.
 func ExplainPlan(q *Query, d *instance.Database) (*PlanInfo, error) {

@@ -1,44 +1,22 @@
 package cq
 
 import (
-	"context"
-
 	"keyedeq/internal/instance"
 	"keyedeq/internal/invariant"
 	"keyedeq/internal/value"
 )
 
-// idSearchCore is the state shared by every ID-native search runtime
-// (the interned oracle in search_interned.go and the streamed iterator
-// pipeline in iter.go): dense class bindings over a frozen view, the
-// addedStack unwind discipline, ghost IDs for query values the frozen
-// view never interned, and the masked cancellation-polling node
-// counter.  Keeping it in one struct keeps the runtimes bit-identical
-// in everything but candidate enumeration machinery.
-type idSearchCore struct {
-	ctx      context.Context
-	fz       *instance.Frozen
-	binding  []value.ID
-	bound    []bool
-	stats    *EvalStats
-	canceled error
-	// addedStack records newly bound class ids in binding order,
-	// unwound by truncation to a caller's mark.
-	addedStack []int32
-	// ghostVals holds values referenced by the query (constants, wanted
-	// head values) that the frozen view never interned.  Each gets a
-	// per-search "ghost" ID from the top of the ID space — distinct
-	// from every real ID, so a ghost-bound class filters candidates
-	// exactly like a value absent from a hash index: every comparison
-	// misses, and the search explores the same nodes.
-	ghostVals []value.Value
-}
+// This file holds the ID-space primitives of the streamed searcher
+// (iter.go): interning query values against the frozen view (with
+// ghost IDs for values it never saw), decoding IDs back to surface
+// values, binding a candidate row, unwinding by mark, and the masked
+// cancellation-polling node counter.
 
 // internID resolves a surface value to its frozen ID, or to a ghost ID
 // when the frozen view never saw it.  Ghosts are deduplicated per
 // distinct value so two prebindings of the same absent constant agree,
-// exactly as the generic search's value comparisons would.
-func (s *idSearchCore) internID(v value.Value) value.ID {
+// exactly as surface-value comparisons would.
+func (s *streamSearcher) internID(v value.Value) value.ID {
 	if id, ok := s.fz.Interner.Lookup(v); ok {
 		return id
 	}
@@ -52,18 +30,18 @@ func (s *idSearchCore) internID(v value.Value) value.ID {
 }
 
 // decodeID is the boundary where IDs turn back into surface values.
-func (s *idSearchCore) decodeID(id value.ID) value.Value {
+func (s *streamSearcher) decodeID(id value.ID) value.Value {
 	if n := len(s.ghostVals); n > 0 && id >= ^value.ID(0)-value.ID(n-1) {
 		return s.ghostVals[^value.ID(0)-id]
 	}
 	v, ok := s.fz.Interner.Decode(id)
-	invariant.Mustf(ok, "cq: interned search bound foreign ID %d", id)
+	invariant.Mustf(ok, "cq: streamed search bound foreign ID %d", id)
 	return v
 }
 
 // tryBind extends the binding with row ri at step st; the caller
 // unwinds partial adds with unbindTo(mark).
-func (s *idSearchCore) tryBind(st *planStep, fr *instance.FrozenRelation, ri int) bool {
+func (s *streamSearcher) tryBind(st *planStep, fr *instance.FrozenRelation, ri int) bool {
 	row := fr.Row(ri)
 	for p, id := range st.roots {
 		if s.bound[id] {
@@ -80,16 +58,19 @@ func (s *idSearchCore) tryBind(st *planStep, fr *instance.FrozenRelation, ri int
 }
 
 // unbindTo unwinds every binding pushed since the caller's mark.
-func (s *idSearchCore) unbindTo(mark int) {
+func (s *streamSearcher) unbindTo(mark int) {
 	for _, id := range s.addedStack[mark:] {
 		s.bound[id] = false
 	}
 	s.addedStack = s.addedStack[:mark]
 }
 
-// countNode advances the shared node counter under the same polling
-// contract as the generic searcher (see searcher.countNode).
-func (s *idSearchCore) countNode() bool {
+// countNode advances the node counter and polls the context once every
+// cancelCheckMask+1 nodes.  It reports whether the search may continue.
+// The canceled check comes before the increment: once a poll trips,
+// no further candidate is counted, so a cancelled search reports at
+// most cancelCheckMask+1 nodes past the cancellation.
+func (s *streamSearcher) countNode() bool {
 	if s.canceled != nil {
 		return false
 	}

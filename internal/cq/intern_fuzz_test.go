@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"testing"
 
 	"keyedeq/internal/instance"
@@ -108,8 +109,9 @@ func FuzzInternRoundTrip(f *testing.F) {
 				t.Fatalf("decode(intern(%v)) = %v (%v)", c, got, ok)
 			}
 		}
-		// An interned search over the frozen view must agree with the
-		// generic oracle even on arbitrary parsed inputs.
+		// The production search (which interns the database for its
+		// pipeline arm) must agree with the naive oracle even on
+		// arbitrary parsed inputs, and so must Eval's enumeration.
 		if len(q.Body) == 0 {
 			return
 		}
@@ -117,13 +119,24 @@ func FuzzInternRoundTrip(f *testing.F) {
 		for i := range want {
 			want[i] = value.Value{Type: 1, N: int64(i)}
 		}
-		okP, _, esP, errP := FindAnswerBindingMode(q, d, want, SearchPlanned)
-		okI, _, esI, errI := FindAnswerBindingMode(q, d, want, SearchInterned)
-		if (errP == nil) != (errI == nil) {
-			t.Fatalf("errors diverge: planned %v, interned %v", errP, errI)
+		okA, _, _, errA := FindAnswerBinding(q, d, want)
+		okN, _, _, errN := FindAnswerBindingNaive(context.Background(), q, d, want)
+		if (errA == nil) != (errN == nil) {
+			t.Fatalf("errors diverge: adaptive %v, naive %v", errA, errN)
 		}
-		if errP == nil && (okP != okI || esP.Nodes != esI.Nodes) {
-			t.Fatalf("planned (%v, %d nodes) vs interned (%v, %d nodes)", okP, esP.Nodes, okI, esI.Nodes)
+		if errA == nil && okA != okN {
+			t.Fatalf("adaptive found=%v, naive found=%v", okA, okN)
+		}
+		got, err := Eval(q, d)
+		if err != nil {
+			return
+		}
+		ref := instance.NewRelation(got.Scheme)
+		if _, err := evalNaive(q, d, ref); err != nil {
+			t.Fatalf("naive evaluation failed where Eval succeeded: %v", err)
+		}
+		if !got.Equal(ref) {
+			t.Fatalf("Eval %s, naive %s", got, ref)
 		}
 	})
 }

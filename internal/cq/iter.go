@@ -19,22 +19,25 @@ import (
 //     with a candidate row (hash-join probe on the key positions plus
 //     residual equality selection on repeated classes) and unwinds by
 //     mark on backtrack;
-//   - projection: the witness decode at the return boundary, where IDs
-//     turn back into surface values.
+//   - projection: the witness decode at the return boundary (or, for
+//     Eval, the head-tuple decode at the emit boundary), where IDs turn
+//     back into surface values.
 //
 // Each pipeline depth is one open cursor; the driver pulls the next
 // candidate from the deepest cursor, so item A's depth-3 work never
 // waits on item B's depth-1 work and nothing is materialized beyond
-// the indexes.  The operator contracts are pinned in DESIGN.md §15.
+// the indexes.  The driver is resumable: after a full match it
+// continues from the deepest cursor, so the same loop serves the
+// first-match search and full enumeration.  The operator contracts are
+// pinned in DESIGN.md §15.
 //
-// The runtime is differential-tested to be bit-identical — verdicts,
-// EvalStats (Nodes and CompNodes), and witnesses — to both oracles:
-// SearchPlanned (generic values) and SearchInterned (recursive ID
-// search).  That holds because all three share one plan, enumerate
-// candidates in row order (hash buckets are filled in row order; the
-// interned sorted index breaks key ties by row number), and count a
-// node for every candidate pulled, before tryBind, under the same
-// cancelCheckMask polling contract.
+// Candidates come out in row order (hash buckets are filled in row
+// order, and frozen rows follow the relation's sorted tuple order),
+// and a node is counted for every candidate pulled, before tryBind,
+// under the cancelCheckMask polling contract — so EvalStats is a
+// deterministic function of the plan and the data.  The adaptive
+// dispatcher (adaptive.go) is differential-tested against the naive
+// oracle (eval.go) on verdicts and witnesses.
 
 // streamIndex is one pre-sized hash index shared by the plan steps of
 // an index slot.  A key resolves to a dense bucket id — single-position
@@ -69,13 +72,30 @@ type stepCursor struct {
 	indexed bool
 }
 
-// streamSearcher carries the mutable state of one streamed search: the
-// shared ID-search core plus the hash indexes and the cursor stack of
-// the pipeline driver.
+// streamSearcher carries the mutable state of one streamed search:
+// dense class bindings over a frozen view, the addedStack unwind
+// discipline, ghost IDs for query values the frozen view never
+// interned (idcore.go), the hash indexes, and the cursor stack of the
+// pipeline driver.
 type streamSearcher struct {
-	idSearchCore
-	plan *searchPlan
-	idx  []streamIndex
+	ctx      context.Context
+	fz       *instance.Frozen
+	binding  []value.ID
+	bound    []bool
+	stats    *EvalStats
+	canceled error
+	// addedStack records newly bound class ids in binding order,
+	// unwound by truncation to a caller's mark.
+	addedStack []int32
+	// ghostVals holds values referenced by the query (constants, wanted
+	// head values) that the frozen view never interned.  Each gets a
+	// per-search "ghost" ID from the top of the ID space — distinct
+	// from every real ID, so a ghost-bound class filters candidates
+	// exactly like a value absent from a hash index: every comparison
+	// misses, and the search explores the same nodes.
+	ghostVals []value.Value
+	plan      *searchPlan
+	idx       []streamIndex
 	// keyBuf is the reusable scratch for wide-key encoding.
 	keyBuf []byte
 	// cursors and marks hold one open cursor and one addedStack mark
@@ -92,13 +112,11 @@ func newStreamSearcher(ctx context.Context, plan *searchPlan, fz *instance.Froze
 		}
 	}
 	return &streamSearcher{
-		idSearchCore: idSearchCore{
-			ctx:     ctx,
-			fz:      fz,
-			binding: make([]value.ID, plan.numClasses),
-			bound:   make([]bool, plan.numClasses),
-			stats:   stats,
-		},
+		ctx:     ctx,
+		fz:      fz,
+		binding: make([]value.ID, plan.numClasses),
+		bound:   make([]bool, plan.numClasses),
+		stats:   stats,
 		plan:    plan,
 		idx:     make([]streamIndex, plan.numSlots),
 		cursors: make([]stepCursor, maxSteps),
@@ -127,9 +145,8 @@ func keyPosSig(keyPos []int) string {
 // positions, so every search against one frozen view — including the
 // parallel component workers and entirely separate queries — shares a
 // single build.  On a miss the fill runs in row order, so bucket row
-// lists enumerate candidates exactly as the generic search's buckets
-// and the interned search's sorted ranges do, and it honors the same
-// masked polling contract; on cancellation the partial index is
+// lists enumerate candidates in row order, and it honors the node
+// loop's masked polling contract; on cancellation the partial index is
 // discarded, not memoized, and the next searcher builds afresh.
 func (s *streamSearcher) buildIndex(st *planStep, fr *instance.FrozenRelation) bool {
 	v, ok := fr.IndexMemo(keyPosSig(st.keyPos), func() (any, bool) {
@@ -150,7 +167,7 @@ func (s *streamSearcher) buildIndex(st *planStep, fr *instance.FrozenRelation) b
 // dense bucket id (first-occurrence order) and the placement pass
 // prefix-sums the bucket sizes and drops each row into its bucket's
 // next slot — ascending row order in, ascending row order per bucket
-// out, the enumeration order the oracle runtimes pin.
+// out, the enumeration order EvalStats is pinned to.
 func (s *streamSearcher) fillIndex(st *planStep, fr *instance.FrozenRelation) *streamIndex {
 	n := fr.NumRows()
 	idx := streamIndex{built: true}
@@ -252,21 +269,29 @@ func (s *streamSearcher) openCursor(steps []planStep, depth int) bool {
 	return true
 }
 
-// runPipeline streams one component's steps to the first full match,
-// leaving the successful bindings in place.  The explicit cursor stack
-// replaces the oracle runtimes' recursion: pulling the next candidate,
-// counting it, binding it, and descending visits exactly the node
-// sequence findFrom (search_interned.go) visits.
+// runPipeline streams one component's steps to its next full match,
+// leaving the match's bindings in place.  With resume false it opens
+// the pipeline at the first step; with resume true it continues from
+// the deepest cursor of the match the previous call returned, so
+// repeated calls enumerate every match in candidate order — the
+// first-match search and Eval's enumeration share this one driver.
+// It returns false once the component is exhausted (every binding it
+// pushed unwound) or on cancellation (bindings left as they were).
 //
 //keyedeq:hot -- the streamed pipeline driver: every candidate is one cursor pull plus ID-compare binds
-func (s *streamSearcher) runPipeline(steps []planStep) bool {
+func (s *streamSearcher) runPipeline(steps []planStep, resume bool) bool {
 	if len(steps) == 0 {
-		return true
+		return !resume
 	}
-	if !s.openCursor(steps, 0) {
-		return false
+	depth := len(steps) - 1
+	if resume {
+		s.unbindTo(s.marks[depth])
+	} else {
+		if !s.openCursor(steps, 0) {
+			return false
+		}
+		depth = 0
 	}
-	depth := 0
 	for {
 		c := &s.cursors[depth]
 		var ri int
@@ -311,47 +336,56 @@ func (s *streamSearcher) runPipeline(steps []planStep) bool {
 	}
 }
 
-// findAnswerStreamed is the SearchStreamed implementation behind
-// FindAnswerBindingCtx: identical prologue and component loop to
-// findAnswerInterned, with the recursive search replaced by the
-// streamed pipeline.  It always runs the pipeline sequentially — the
-// adaptive mode (adaptive.go) layers the cost-based scan choice and
-// parallel component search on top of it.
-//
-//keyedeq:hot -- the streamed homomorphism search backs the adaptive default's planned arm
-func findAnswerStreamed(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
-		return false, nil, stats, nil
-	}
-	rels, relIdxs, err := resolveRelations(q, d)
-	if err != nil {
-		return false, nil, stats, err
-	}
-	pres, earlyMiss := streamPrebindings(q, eq, want)
-	if earlyMiss {
-		return false, nil, stats, nil
-	}
-	plan := buildStreamPlan(ctx, q, rels, relIdxs, eq, pres)
-	s := newStreamSearcher(ctx, plan, d.Frozen(), &stats)
+// prebinding fixes one equality class's value before the search starts
+// (a constant from the equality list, or a wanted head value).  The
+// slice stays tiny, so lookups are linear scans rather than map probes.
+type prebinding struct {
+	root Var
+	val  value.Value
+}
+
+// lookupPre returns the prebound value of root, if any.
+func lookupPre(pres []prebinding, root Var) (value.Value, bool) {
 	for _, pb := range pres {
-		if id, ok := plan.classOf[pb.root]; ok {
+		if pb.root == root {
+			return pb.val, true
+		}
+	}
+	return value.Value{}, false
+}
+
+// collectConstPrebindings gathers the constant-bound classes touched by
+// the body into pres (deduplicated by representative).
+func collectConstPrebindings(q *Query, eq *EqClasses, pres []prebinding) []prebinding {
+	for _, a := range q.Body {
+		for _, v := range a.Vars {
+			if c, ok := eq.Const(v); ok {
+				root := eq.Find(v)
+				if _, seen := lookupPre(pres, root); !seen {
+					pres = append(pres, prebinding{root: root, val: c})
+				}
+			}
+		}
+	}
+	return pres
+}
+
+// prebind seeds the binding slices from the values fixed before the
+// search starts, interning each (a value the frozen view never saw
+// gets a ghost ID).
+func (s *streamSearcher) prebind(pres []prebinding) {
+	for _, pb := range pres {
+		if id, ok := s.plan.classOf[pb.root]; ok {
 			s.binding[id] = s.internID(pb.val)
 			s.bound[id] = true
 		}
 	}
-	ok, err := runComponentsSequential(s, plan)
-	if err != nil || !ok {
-		return false, nil, stats, err
-	}
-	return true, decodeWitness(&s.idSearchCore, plan, q, eq), stats, nil
 }
 
 // streamPrebindings collects the constant prebindings plus the head
 // classes pinned to want.  The checks run at the surface-value level,
-// before any interning, so impossible wants short-circuit exactly as
-// in the generic search; earlyMiss reports such a contradiction.
+// before any interning, so an impossible want is a miss before any
+// node is counted; earlyMiss reports such a contradiction.
 func streamPrebindings(q *Query, eq *EqClasses, want instance.Tuple) (pres []prebinding, earlyMiss bool) {
 	pres = collectConstPrebindings(q, eq, make([]prebinding, 0, len(q.Head)+2))
 	for i, term := range q.Head {
@@ -373,9 +407,7 @@ func streamPrebindings(q *Query, eq *EqClasses, want instance.Tuple) (pres []pre
 	return pres, false
 }
 
-// buildStreamPlan compiles the plan and emits the plan-stage span the
-// oracle runtimes emit, keeping per-stage traces comparable across
-// modes.
+// buildStreamPlan compiles the plan and emits the plan-stage span.
 func buildStreamPlan(ctx context.Context, q *Query, rels []*instance.Relation, relIdxs []int, eq *EqClasses, pres []prebinding) *searchPlan {
 	o := obs.FromContext(ctx)
 	planStart := o.Time()
@@ -399,7 +431,7 @@ func buildStreamPlan(ctx context.Context, q *Query, rels []*instance.Relation, r
 func runComponentsSequential(s *streamSearcher, plan *searchPlan) (bool, error) {
 	for ci := range plan.comps {
 		before := s.stats.Nodes
-		found := s.runPipeline(plan.comps[ci].steps)
+		found := s.runPipeline(plan.comps[ci].steps, false)
 		s.stats.CompNodes = append(s.stats.CompNodes, s.stats.Nodes-before)
 		if !found {
 			return false, s.canceled
@@ -411,11 +443,11 @@ func runComponentsSequential(s *streamSearcher, plan *searchPlan) (bool, error) 
 // decodeWitness projects the successful bindings back to surface
 // values, per body variable through its class representative — the
 // boundary past which no interned ID may escape.
-func decodeWitness(core *idSearchCore, plan *searchPlan, q *Query, eq *EqClasses) map[Var]value.Value {
+func decodeWitness(s *streamSearcher, plan *searchPlan, q *Query, eq *EqClasses) map[Var]value.Value {
 	witness := make(map[Var]value.Value)
 	for _, a := range q.Body {
 		for _, v := range a.Vars {
-			witness[v] = core.decodeID(core.binding[plan.classOf[eq.Find(v)]])
+			witness[v] = s.decodeID(s.binding[plan.classOf[eq.Find(v)]])
 		}
 	}
 	return witness

@@ -92,20 +92,18 @@ func searchOneComponent(parent *streamSearcher, plan *searchPlan, ci int) compRe
 	steps := plan.comps[ci].steps
 	var cstats EvalStats
 	ws := &streamSearcher{
-		idSearchCore: idSearchCore{
-			ctx:       parent.ctx,
-			fz:        parent.fz,
-			binding:   append([]value.ID(nil), parent.binding...),
-			bound:     append([]bool(nil), parent.bound...),
-			stats:     &cstats,
-			ghostVals: parent.ghostVals,
-		},
-		plan:    plan,
-		idx:     parent.idx,
-		cursors: make([]stepCursor, len(steps)),
-		marks:   make([]int, len(steps)),
+		ctx:       parent.ctx,
+		fz:        parent.fz,
+		binding:   append([]value.ID(nil), parent.binding...),
+		bound:     append([]bool(nil), parent.bound...),
+		stats:     &cstats,
+		ghostVals: parent.ghostVals,
+		plan:      plan,
+		idx:       parent.idx,
+		cursors:   make([]stepCursor, len(steps)),
+		marks:     make([]int, len(steps)),
 	}
-	found := ws.runPipeline(steps)
+	found := ws.runPipeline(steps, false)
 	res := compResult{found: found, nodes: cstats.Nodes, err: ws.canceled}
 	if found {
 		res.added = ws.addedStack

@@ -31,7 +31,7 @@ type planStep struct {
 	rel *instance.Relation
 	// relIdx is rel's index in the database's schema order, which is
 	// also its index among the frozen (interned) relation views — the
-	// interned search addresses relations by it.
+	// streamed search addresses relations by it.
 	relIdx int
 	// roots holds the class id of each position's placeholder variable.
 	roots []int32

@@ -21,17 +21,6 @@ func chainDB(t *testing.T, n int) *instance.Database {
 	return d
 }
 
-func mustPlan(t *testing.T, q *Query, d *instance.Database) *searchPlan {
-	t.Helper()
-	eq := NewEqClasses(q)
-	rels, relIdxs, err := resolveRelations(q, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres := collectConstPrebindings(q, eq, nil)
-	return buildPlan(q, rels, relIdxs, eq, pres)
-}
-
 func TestPlanMostConstrainedFirst(t *testing.T) {
 	// The constant pins Z, so E(Y, Z) starts with a bound position and
 	// must lead its component; the X-Y link then unrolls from it.  The
@@ -39,7 +28,7 @@ func TestPlanMostConstrainedFirst(t *testing.T) {
 	// variable W is fresh — forms its own component.
 	d := chainDB(t, 20)
 	q := MustParse("V(X) :- E(X, Y), E(Y, Z), E(Z, W), Z = T1:10.")
-	plan := mustPlan(t, q, d)
+	plan := costPlanFor(t, q, d)
 	if len(plan.comps) != 2 {
 		t.Fatalf("want 2 components, got %d", len(plan.comps))
 	}
@@ -68,7 +57,7 @@ func TestPlanComponentDecomposition(t *testing.T) {
 	// variables land in their own component's headRoots.
 	d := chainDB(t, 12)
 	q := MustParse("V(X, Z) :- E(X, Y), E(Z, W).")
-	plan := mustPlan(t, q, d)
+	plan := costPlanFor(t, q, d)
 	if len(plan.comps) != 2 {
 		t.Fatalf("want 2 components, got %d", len(plan.comps))
 	}
@@ -87,7 +76,7 @@ func TestPlanPreboundClassesDoNotConnect(t *testing.T) {
 	// class — each filters independently and the join graph splits.
 	d := chainDB(t, 12)
 	q := MustParse("V(X, Z) :- E(X, Y), E(Y, Z), Y = T1:5.")
-	plan := mustPlan(t, q, d)
+	plan := costPlanFor(t, q, d)
 	if len(plan.comps) != 2 {
 		t.Fatalf("want 2 components (constant-bound class carries no join), got %d", len(plan.comps))
 	}
@@ -98,7 +87,7 @@ func TestPlanIndexSlotSharing(t *testing.T) {
 	// same relation, so they must share one index slot.
 	d := chainDB(t, 20)
 	q := MustParse("V(X) :- E(X, Y), E(Y, Z), E(Y, W).")
-	plan := mustPlan(t, q, d)
+	plan := costPlanFor(t, q, d)
 	if len(plan.comps) != 1 {
 		t.Fatalf("want 1 component, got %d", len(plan.comps))
 	}
@@ -126,7 +115,7 @@ func TestPlanSmallRelationScans(t *testing.T) {
 	// A relation at or under the scan threshold never pays for an index.
 	d := chainDB(t, smallRelScanThreshold)
 	q := MustParse("V(X) :- E(X, Y), E(Y, Z).")
-	plan := mustPlan(t, q, d)
+	plan := costPlanFor(t, q, d)
 	for _, comp := range plan.comps {
 		for _, st := range comp.steps {
 			if st.indexSlot >= 0 {
@@ -137,9 +126,26 @@ func TestPlanSmallRelationScans(t *testing.T) {
 	}
 }
 
+// evalNaiveRel runs the naive reference evaluation into a relation
+// with the same synthesized scheme Eval uses.
+func evalNaiveRel(t *testing.T, q *Query, d *instance.Database) (*instance.Relation, EvalStats) {
+	t.Helper()
+	ref, err := Eval(q, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := instance.NewRelation(ref.Scheme)
+	st, err := evalNaive(q, d, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, st
+}
+
 func TestPlannedEvalMatchesNaiveRandomized(t *testing.T) {
-	// Random chain-shaped queries over random graphs: planned and naive
-	// evaluation must produce identical answer relations.
+	// Random chain-shaped queries over random graphs: the pipeline's
+	// enumeration and naive evaluation must produce identical answer
+	// relations.
 	rng := rand.New(rand.NewSource(7))
 	s := schema.MustParse("E(a:T1, b:T1)")
 	for trial := 0; trial < 50; trial++ {
@@ -158,20 +164,37 @@ func TestPlannedEvalMatchesNaiveRandomized(t *testing.T) {
 		default:
 			q = MustParse("V(X, W) :- E(X, Y), E(Z, W), Y = Z.")
 		}
-		planned, _, err := EvalWithStatsMode(q, d, SearchPlanned)
+		planned, err := Eval(q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, _, err := EvalWithStatsMode(q, d, SearchNaive)
-		if err != nil {
-			t.Fatal(err)
+		naive, _ := evalNaiveRel(t, q, d)
+		if !planned.Equal(naive) {
+			t.Fatalf("trial %d: pipeline %s, naive %s", trial, planned, naive)
 		}
-		if planned.Len() != naive.Len() {
-			t.Fatalf("trial %d: planned %d answers, naive %d", trial, planned.Len(), naive.Len())
-		}
-		for _, tp := range naive.Tuples() {
-			if !planned.Has(tp) {
-				t.Fatalf("trial %d: planned missing answer %v", trial, tp)
+	}
+	// The wider query pool: constants (present and absent), constant
+	// heads, repeated head variables, head-free components, cross
+	// products, and triangles (two-position index keys).
+	rp := schema.MustParse("R(a:T1, b:T1)\nP(c:T1, d:T1)")
+	pool := []*Query{
+		MustParse("V(X, B) :- R(X, Y), P(A, B), Y = A."),
+		MustParse("V(X) :- R(X, Y), Y = T1:77."),
+		MustParse("V(T1:9, X, X) :- R(X, Y), P(Y, Z)."),
+		MustParse("V(X) :- R(X, Y), P(A, B)."),
+		MustParse("V(X, B, D) :- R(X, Y), P(Y, B), R(C, D), P(D, C)."),
+		MustParse("V(X) :- R(X, Y), R(Y, Z), R(Z, X)."),
+	}
+	for trial := 0; trial < 40; trial++ {
+		d := randInstance(rp, rng, 20, 4)
+		for _, q := range pool {
+			planned, err := Eval(q, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive, _ := evalNaiveRel(t, q, d)
+			if !planned.Equal(naive) {
+				t.Fatalf("trial %d %s: pipeline %s, naive %s", trial, q, planned, naive)
 			}
 		}
 	}
@@ -183,11 +206,11 @@ func TestPlannedSearchVisitsFewerNodes(t *testing.T) {
 	d := chainDB(t, 40)
 	q := MustParse("V(A, E) :- E(A, B), E(B, C), E(C, D), E(D, E).")
 	want := instance.Tuple{val(1, 0), val(1, 4)}
-	okP, _, stP, err := FindAnswerBindingMode(q, d, want, SearchPlanned)
+	okP, _, stP, err := FindAnswerBinding(q, d, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	okN, _, stN, err := FindAnswerBindingMode(q, d, want, SearchNaive)
+	okN, _, stN, err := FindAnswerBindingNaive(context.Background(), q, d, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +226,7 @@ func TestPlannedWitnessRespectsEqualities(t *testing.T) {
 	d := chainDB(t, 20)
 	q := MustParse("V(X, Z) :- E(X, Y), E(U, Z), Y = U.")
 	want := instance.Tuple{val(1, 3), val(1, 5)}
-	ok, witness, _, err := FindAnswerBindingMode(q, d, want, SearchPlanned)
+	ok, witness, _, err := FindAnswerBinding(q, d, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +242,15 @@ func TestPlannedWitnessRespectsEqualities(t *testing.T) {
 }
 
 func TestPlannedSearchCancellation(t *testing.T) {
-	// A pre-canceled context must surface as an error once the search
-	// does enough work to poll (the chain is long enough to cross
-	// cancelCheckMask nodes).
+	// A pre-canceled context must surface as an error once the
+	// enumeration does enough work to poll (the chain is long enough to
+	// cross cancelCheckMask nodes).
 	d := chainDB(t, 600)
 	q := MustParse("V(X, Z) :- E(X, Y), E(Y, Z).")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out := instance.NewRelation(nil)
-	_, err := evalPlanned(ctx, q, d, out)
+	_, err := evalPipeline(ctx, q, d, out)
 	if err == nil {
 		t.Fatal("want cancellation error, got nil")
 	}
@@ -252,18 +275,18 @@ func TestPlannedEmptyRelationRefutesEarly(t *testing.T) {
 	d := instance.NewDatabase(s)
 	d.MustInsert("E", val(1, 0), val(1, 1))
 	q := MustParse("V(X) :- E(X, Y), F(Y).")
-	ok, _, _, err := FindAnswerBindingMode(q, d, instance.Tuple{val(1, 0)}, SearchPlanned)
+	ok, _, _, err := FindAnswerBinding(q, d, instance.Tuple{val(1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("found an answer through an empty relation")
 	}
-}
-
-func TestSearchModeString(t *testing.T) {
-	if SearchPlanned.String() != "planned" || SearchNaive.String() != "naive" || SearchInterned.String() != "interned" {
-		t.Errorf("mode strings wrong: %q, %q, %q",
-			SearchPlanned.String(), SearchNaive.String(), SearchInterned.String())
+	out, err := Eval(q, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("Eval found %s through an empty relation", out)
 	}
 }

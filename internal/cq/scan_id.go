@@ -8,7 +8,7 @@ import (
 	"keyedeq/internal/value"
 )
 
-// This file is the dense scan: the adaptive mode's no-plan arm.  It
+// This file is the dense scan: the adaptive search's no-plan arm.  It
 // mirrors findAnswerNaive (eval.go) operation for operation — dynamic
 // most-bound-first atom picking over full relation scans, the same
 // node accounting and masked cancellation polling — but binds values
@@ -115,8 +115,8 @@ func (s *scanSearcher) unbindTo(mark int) {
 	s.addedStack = s.addedStack[:mark]
 }
 
-// countNode advances the shared node counter under the same polling
-// contract as the generic searcher (see searcher.countNode).
+// countNode advances the node counter under the streamed searcher's
+// polling contract (see streamSearcher.countNode).
 func (s *scanSearcher) countNode() bool {
 	if s.canceled != nil {
 		return false
@@ -177,21 +177,6 @@ func (s *scanSearcher) run(remaining int) {
 		s.unbindTo(mark)
 	}
 	s.used[ai] = false
-}
-
-// findAnswerScanID is the standalone entry point (the adaptive tier-0
-// fast path goes through scanIDCore to reuse its prologue work).
-func findAnswerScanID(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) (bool, map[Var]value.Value, EvalStats, error) {
-	var stats EvalStats
-	eq := NewEqClasses(q)
-	if eq.Unsatisfiable() {
-		return false, nil, stats, nil
-	}
-	rels, _, err := resolveRelations(q, d)
-	if err != nil {
-		return false, nil, stats, err
-	}
-	return scanIDCore(ctx, q, want, eq, rels)
 }
 
 // scanIDCore runs the dense scan over pre-resolved relations.

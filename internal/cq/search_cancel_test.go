@@ -11,9 +11,10 @@ import (
 )
 
 // These tests pin the cancelCheckMask polling contract: every search
-// path — the planned search over hash indexes, its ≤smallRelScanThreshold
-// scan fallback, and the naive reference search — must observe a done
-// context within cancelCheckMask+1 node visits.  A path that skips
+// path — the streamed pipeline over hash indexes, its
+// ≤smallRelScanThreshold scan fallback, the dense scan arm, Eval's
+// enumeration driver, and the naive reference search — must observe a
+// done context within cancelCheckMask+1 node visits.  A path that skips
 // Nodes++ or the poll would run arbitrarily far past a timeout.
 
 // cancelChainQuery builds V(X1, Xn+1) :- E(X1, X2), ..., E(Xn, Xn+1).
@@ -77,31 +78,49 @@ func wantAcross() instance.Tuple {
 	return instance.Tuple{val(1, 1), val(1, 4)}
 }
 
-func testCancelObserved(t *testing.T, d *instance.Database, chainLen int, mode SearchMode) {
+// searchRunner runs one homomorphism search under test.
+type searchRunner func(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) searchResult
+
+// onConfig runs the production search under cfg.
+func onConfig(t *testing.T, cfg costConfig) searchRunner {
+	return func(ctx context.Context, q *Query, d *instance.Database, want instance.Tuple) searchResult {
+		return searchWith(t, cfg, ctx, q, d, want)
+	}
+}
+
+func testCancelObserved(t *testing.T, d *instance.Database, chainLen int, run searchRunner) {
 	t.Helper()
 	q := cancelChainQuery(chainLen)
 
 	// Control: uncancelled, the search must exhaust past the first poll
 	// point — otherwise the cancellation assertion below is vacuous.
-	ok, _, es, err := FindAnswerBindingCtxMode(context.Background(), q, d, wantAcross(), mode)
-	if err != nil {
-		t.Fatal(err)
+	r := run(context.Background(), q, d, wantAcross())
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if ok {
+	if r.ok {
 		t.Fatal("cross-component chain unexpectedly satisfiable")
 	}
-	if es.Nodes <= cancelCheckMask+1 {
+	if r.es.Nodes <= cancelCheckMask+1 {
 		t.Fatalf("exhaustive search visited %d nodes, need > %d to exercise the poll point",
-			es.Nodes, cancelCheckMask+1)
+			r.es.Nodes, cancelCheckMask+1)
 	}
 
 	// A context canceled before the search starts must be observed
 	// within cancelCheckMask+1 node visits.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ok, _, es, err = FindAnswerBindingCtxMode(ctx, q, d, wantAcross(), mode)
+	r = run(ctx, q, d, wantAcross())
+	checkCanceled(t, r.es, r.err)
+}
+
+// checkCanceled requires a search run under a pre-canceled context to
+// report context.Canceled after at least one and at most
+// cancelCheckMask+1 node visits.
+func checkCanceled(t *testing.T, es EvalStats, err error) {
+	t.Helper()
 	if err == nil {
-		t.Fatalf("canceled search returned no error (ok=%v, %d nodes)", ok, es.Nodes)
+		t.Fatalf("canceled search returned no error (%d nodes)", es.Nodes)
 	}
 	if err != context.Canceled {
 		t.Fatalf("canceled search returned %v, want context.Canceled", err)
@@ -115,59 +134,67 @@ func testCancelObserved(t *testing.T, d *instance.Database, chainLen int, mode S
 	}
 }
 
+// testEvalCancelObserved pins the polling contract on Eval's
+// enumeration driver: the chain query's answers over the digraph take
+// more than cancelCheckMask+1 nodes to enumerate, and a pre-canceled
+// context must stop the enumeration within that many.
+func testEvalCancelObserved(t *testing.T, d *instance.Database, chainLen int) {
+	t.Helper()
+	q := cancelChainQuery(chainLen)
+	_, es, err := EvalWithStats(q, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es.Nodes <= cancelCheckMask+1 {
+		t.Fatalf("enumeration visited %d nodes, need > %d to exercise the poll point",
+			es.Nodes, cancelCheckMask+1)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	es, err = evalPipeline(ctx, q, d, instance.NewRelation(nil))
+	checkCanceled(t, es, err)
+}
+
 func TestCancelObservedPlannedScanFallback(t *testing.T) {
 	// 8 edges ≤ smallRelScanThreshold: every planned step scans.
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchPlanned)
+	testEvalCancelObserved(t, cancelGraph(t, false), 9)
 }
 
 func TestCancelObservedPlannedIndexed(t *testing.T) {
 	// 12 edges > smallRelScanThreshold: bound steps probe hash indexes.
-	testCancelObserved(t, cancelGraph(t, true), 12, SearchPlanned)
+	testEvalCancelObserved(t, cancelGraph(t, true), 12)
 }
 
 func TestCancelObservedNaive(t *testing.T) {
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchNaive)
-}
-
-func TestCancelObservedInternedScanFallback(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: every interned step scans frozen
-	// rows directly.
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchInterned)
-}
-
-func TestCancelObservedInternedIndexed(t *testing.T) {
-	// 12 edges > smallRelScanThreshold: bound steps binary-search the
-	// sorted ID indexes.
-	testCancelObserved(t, cancelGraph(t, true), 12, SearchInterned)
+	testCancelObserved(t, cancelGraph(t, false), 9, naiveResult)
 }
 
 func TestCancelObservedStreamedScanFallback(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: every streamed cursor scans
-	// frozen rows directly.
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchStreamed)
+	// 8 edges ≤ smallRelScanThreshold: the forced pipeline's cursors
+	// all scan frozen rows directly.
+	testCancelObserved(t, cancelGraph(t, false), 9, onConfig(t, pipelineArmConfig(1)))
 }
 
 func TestCancelObservedStreamedIndexed(t *testing.T) {
 	// 12 edges > smallRelScanThreshold: bound cursors walk pre-built
 	// hash buckets.
-	testCancelObserved(t, cancelGraph(t, true), 12, SearchStreamed)
+	testCancelObserved(t, cancelGraph(t, true), 12, onConfig(t, pipelineArmConfig(1)))
 }
 
 func TestCancelObservedAdaptiveScanArm(t *testing.T) {
-	// 8 edges ≤ smallRelScanThreshold: tier 0 routes to the dense ID
-	// scan, which polls inside its own recursion.
-	testCancelObserved(t, cancelGraph(t, false), 9, SearchAdaptive)
+	// 8 edges ≤ smallRelScanThreshold: tier 0 routes the default
+	// configuration to the dense scan, which polls inside its own
+	// recursion.
+	testCancelObserved(t, cancelGraph(t, false), 9, onConfig(t, defaultCostConfig))
 }
 
 func TestCancelObservedAdaptivePipeline(t *testing.T) {
-	// Above the threshold the adaptive mode plans; force the pipeline
-	// choice so the poll point under test is the cursor driver's.
+	// Above the threshold the adaptive search plans; zeroing the
+	// pipeline's costs makes tier 1 choose it, so the poll point under
+	// test is the cursor driver's, reached through the real estimate.
 	cfg := defaultCostConfig
 	cfg.planOverhead = 0
 	cfg.indexBuildPerRow = 0
 	cfg.nodeCost = 0
-	orig := costCfg
-	costCfg = cfg
-	defer func() { costCfg = orig }()
-	testCancelObserved(t, cancelGraph(t, true), 12, SearchAdaptive)
+	testCancelObserved(t, cancelGraph(t, true), 12, onConfig(t, cfg))
 }

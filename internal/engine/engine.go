@@ -61,12 +61,6 @@ type Options struct {
 	// carried by the caller's context is used instead; with neither the
 	// pipeline runs unobserved at near-zero cost.
 	Obs *obs.Obs
-	// GenericSearch forces the generic planned homomorphism search
-	// instead of the interned default — the escape hatch when a verdict
-	// needs re-checking against the differential oracle.  A bool (rather
-	// than a cq.SearchMode field) keeps the zero-value Options on the
-	// default interned path.
-	GenericSearch bool
 	// Store, when set (and caching is enabled), receives every freshly
 	// computed verdict at the moment it enters the cache — never cache
 	// hits, batch dedups, warm loads, or errored pairs — so a daemon
@@ -165,15 +159,6 @@ func New(s *schema.Schema, deps []fd.FD, opts Options) *Engine {
 
 // Schema returns the schema the engine decides over.
 func (e *Engine) Schema() *schema.Schema { return e.s }
-
-// searchMode resolves the homomorphism search mode this engine's
-// decisions run under.
-func (e *Engine) searchMode() cq.SearchMode {
-	if e.opts.GenericSearch {
-		return cq.SearchPlanned
-	}
-	return cq.SearchDefault
-}
 
 // CacheStats snapshots the verdict cache (zero when caching is off).
 func (e *Engine) CacheStats() CacheStats {
@@ -334,9 +319,9 @@ func (e *Engine) Decide(ctx context.Context, q1, q2 *cq.Query, op Op) (res Resul
 		err error
 	)
 	if op == OpContained {
-		ok, st, err = containment.ContainedUnderCtxMode(ctx, q1, q2, e.s, e.deps, e.searchMode())
+		ok, st, err = containment.ContainedUnderCtx(ctx, q1, q2, e.s, e.deps)
 	} else {
-		ok, st, err = containment.EquivalentUnderCtxMode(ctx, q1, q2, e.s, e.deps, e.searchMode())
+		ok, st, err = containment.EquivalentUnderCtx(ctx, q1, q2, e.s, e.deps)
 	}
 	if err != nil {
 		// Cancellation and timeout never reach the cache: the partial
@@ -481,7 +466,7 @@ func (e *Engine) frozenOf(b *batchState, k string) *frozen {
 // containedFrom decides frozenLeft ⊑ right using the memoized canonical
 // database.  A failed chase means the left query is empty under the
 // dependencies, so containment holds vacuously.
-func containedFrom(ctx context.Context, f *frozen, right *cq.Query, mode cq.SearchMode) (bool, containment.Stats, error) {
+func containedFrom(ctx context.Context, f *frozen, right *cq.Query) (bool, containment.Stats, error) {
 	var st containment.Stats
 	if f.err != nil {
 		return false, st, f.err
@@ -489,7 +474,7 @@ func containedFrom(ctx context.Context, f *frozen, right *cq.Query, mode cq.Sear
 	if f.failed {
 		return true, containment.FailedChaseStats(), nil
 	}
-	ok, _, es, err := cq.FindAnswerBindingCtxMode(ctx, right, f.db, f.want, mode)
+	ok, _, es, err := cq.FindAnswerBindingCtx(ctx, right, f.db, f.want)
 	return ok, containment.SearchStats(es.Nodes), err
 }
 
@@ -745,12 +730,12 @@ func (e *Engine) runLeader(bs *batchState, j Job, lk, rk string) (Result, *froze
 		defer cancel()
 	}
 	fl := e.frozenOf(bs, lk)
-	ok, st, err := containedFrom(jctx, fl, j.Right, e.searchMode())
+	ok, st, err := containedFrom(jctx, fl, j.Right)
 	if err != nil || !ok || j.Op == OpContained {
 		return Result{Holds: ok, Stats: st, Err: err}, fl, nil
 	}
 	fr := e.frozenOf(bs, rk)
-	ok2, st2, err := containedFrom(jctx, fr, j.Left, e.searchMode())
+	ok2, st2, err := containedFrom(jctx, fr, j.Left)
 	st.Merge(st2)
 	return Result{Holds: ok2, Stats: st, Err: err}, fl, fr
 }

@@ -30,7 +30,7 @@ const (
 	seedChaseAllocs = 882
 	// seedSearchAllocs is the BenchmarkT3Containment/clique-4 record
 	// committed by the hot-path allocation PR (down from 271 pre-fix);
-	// the interned search must beat it.
+	// the search must beat it.
 	seedSearchAllocs = 258
 	// seedCanonAllocs is the canon/wide workload measured on the
 	// canonicalization kernel before its allocation pass (one
@@ -182,8 +182,8 @@ func allocInternRun(b *testing.B) error {
 }
 
 // allocSearchRun is the BenchmarkT3Containment/clique-4 workload: the
-// containment curve's most expensive point, freeze + search (in the
-// default interned mode) per operation.
+// containment curve's most expensive point, freeze + search per
+// operation.
 func allocSearchRun(b *testing.B) error {
 	gs := gen.GraphSchema()
 	q1 := gen.CliqueQuery(4)

@@ -7,10 +7,12 @@ import (
 
 	"keyedeq/internal/cq"
 	"keyedeq/internal/gen"
+	"keyedeq/internal/instance"
+	"keyedeq/internal/value"
 )
 
-// Scratch benchmarks comparing the naive oracle against the adaptive
-// default on the H1 corpus's small-instance families, where the
+// Benchmarks comparing the naive oracle against the adaptive default
+// on the H1 corpus families.  On the small-instance families the
 // per-search prologue dominates wall time.
 
 func homBenchCases(b *testing.B, fam string) []HomCase {
@@ -27,33 +29,31 @@ func homBenchCases(b *testing.B, fam string) []HomCase {
 	return cases
 }
 
-func benchHomMode(b *testing.B, fam string, mode cq.SearchMode) {
-	cases := homBenchCases(b, fam)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cases {
-			if _, _, _, err := cq.FindAnswerBindingCtxMode(ctx, c.Q, c.DB, c.Want, mode); err != nil {
-				b.Fatal(err)
-			}
+// BenchmarkHomSearch times the adaptive default against the naive
+// oracle on every corpus family, one sub-benchmark per family and arm
+// (for example -bench 'HomSearch/wide/').
+func BenchmarkHomSearch(b *testing.B) {
+	arms := []struct {
+		name   string
+		search func(context.Context, *cq.Query, *instance.Database, instance.Tuple) (bool, map[cq.Var]value.Value, cq.EvalStats, error)
+	}{
+		{"adaptive", cq.FindAnswerBindingCtx},
+		{"naive", cq.FindAnswerBindingNaive},
+	}
+	for _, fam := range gen.FamilyNames() {
+		for _, arm := range arms {
+			b.Run(fam+"/"+arm.name, func(b *testing.B) {
+				cases := homBenchCases(b, fam)
+				ctx := context.Background()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, c := range cases {
+						if _, _, _, err := arm.search(ctx, c.Q, c.DB, c.Want); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
 		}
 	}
 }
-
-func BenchmarkHomChainNaive(b *testing.B)    { benchHomMode(b, "graph-chain", cq.SearchNaive) }
-func BenchmarkHomChainAdaptive(b *testing.B) { benchHomMode(b, "graph-chain", cq.SearchAdaptive) }
-func BenchmarkHomKeyedNaive(b *testing.B)    { benchHomMode(b, "keyed", cq.SearchNaive) }
-func BenchmarkHomKeyedAdaptive(b *testing.B) { benchHomMode(b, "keyed", cq.SearchAdaptive) }
-
-func BenchmarkHomWideNaive(b *testing.B)    { benchHomMode(b, "wide", cq.SearchNaive) }
-func BenchmarkHomWideAdaptive(b *testing.B) { benchHomMode(b, "wide", cq.SearchAdaptive) }
-func BenchmarkHomWidePlanned(b *testing.B)  { benchHomMode(b, "wide", cq.SearchPlanned) }
-func BenchmarkHomLongAdaptive(b *testing.B) { benchHomMode(b, "graph-long", cq.SearchAdaptive) }
-func BenchmarkHomLongPlanned(b *testing.B)  { benchHomMode(b, "graph-long", cq.SearchPlanned) }
-func BenchmarkHomChainPlanned(b *testing.B) { benchHomMode(b, "graph-chain", cq.SearchPlanned) }
-func BenchmarkHomChainScan(b *testing.B)    { benchHomMode(b, "graph-chain", cq.SearchStreamed) }
-
-func BenchmarkHomStarNaive(b *testing.B)    { benchHomMode(b, "graph-star", cq.SearchNaive) }
-func BenchmarkHomStarAdaptive(b *testing.B) { benchHomMode(b, "graph-star", cq.SearchAdaptive) }
-
-func BenchmarkHomLongNaive(b *testing.B) { benchHomMode(b, "graph-long", cq.SearchNaive) }

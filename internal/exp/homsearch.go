@@ -44,7 +44,7 @@ type HomBenchResult struct {
 	// WideNodeRatio is the node ratio on the wide family, where the
 	// index probes shine brightest.
 	WideNodeRatio float64 `json:"wide_node_ratio"`
-	// Mismatches counts searches the two modes decided differently
+	// Mismatches counts searches the two arms decided differently
 	// (must be zero: the planner is an optimization, not a semantics
 	// change).
 	Mismatches int `json:"mismatches"`
@@ -60,7 +60,7 @@ type HomCase struct {
 
 // PrepareHomCases freezes and chases both containment directions of
 // every pair into concrete search instances.  The freeze/chase work is
-// identical in both search modes, so benchmarks and the observability
+// identical for both searches, so benchmarks and the observability
 // reconciliation tests share it up front and drive only the searches.
 func PrepareHomCases(f *gen.Family) ([]HomCase, error) {
 	var cases []HomCase
@@ -80,7 +80,7 @@ func PrepareHomCases(f *gen.Family) ([]HomCase, error) {
 			}
 		}
 		if tb.Failed() {
-			// Vacuous containment: no search happens in either mode.
+			// Vacuous containment: no search happens in either arm.
 			return nil
 		}
 		var alloc value.Allocator
@@ -129,14 +129,14 @@ const (
 
 // H1HomSearch prepares the homomorphism search instances behind the
 // generated pair corpus of every schema family (freeze + chase, shared
-// across modes) and runs each search with the naive full-scan
-// backtracking search and with the adaptive runtime (the process
-// default: cost-chosen scan-vs-pipeline with parallel component
+// across arms) and runs each search with the naive full-scan
+// backtracking search and with the adaptive runtime (the production
+// search: cost-chosen scan-vs-pipeline with parallel component
 // search) — reporting wall time, search nodes, and verdict agreement.
 // Timing interleaves homTrials trials of each arm and keeps the
 // minima, so neither arm is systematically charged for cache warmup
 // or drift.  The record keeps the historical planned_* JSON keys: the
-// measured arm is whatever the default runtime is, and the naive arm
+// measured arm is the production search, and the naive arm
 // is the fixed reference.  A non-nil o observes the measured arm only,
 // so exported search totals line up with the record's planned_nodes.
 func H1HomSearch(pairsPerFamily, seed int, o *obs.Obs) (*Table, *HomBenchResult) {
@@ -167,7 +167,7 @@ func H1HomSearch(pairsPerFamily, seed int, o *obs.Obs) (*Table, *HomBenchResult)
 		// mismatch, and pay one-time memoization (sorted tuple views)
 		// so the timed trials below compare steady-state arms.
 		for i, c := range cases {
-			ok, _, st, err := cq.FindAnswerBindingMode(c.Q, c.DB, c.Want, cq.SearchNaive)
+			ok, _, st, err := cq.FindAnswerBindingNaive(context.Background(), c.Q, c.DB, c.Want)
 			if err != nil {
 				t.Note("%s: naive: %v", fam, err)
 				continue
@@ -176,7 +176,7 @@ func H1HomSearch(pairsPerFamily, seed int, o *obs.Obs) (*Table, *HomBenchResult)
 			fr.NaiveNodes += st.Nodes
 		}
 		for i, c := range cases {
-			ok, _, st, err := cq.FindAnswerBindingCtxMode(plannedCtx, c.Q, c.DB, c.Want, cq.SearchAdaptive)
+			ok, _, st, err := cq.FindAnswerBindingCtx(plannedCtx, c.Q, c.DB, c.Want)
 			if err != nil {
 				t.Note("%s: planned: %v", fam, err)
 				continue
@@ -195,7 +195,7 @@ func H1HomSearch(pairsPerFamily, seed int, o *obs.Obs) (*Table, *HomBenchResult)
 			return timed(func() {
 				for p := 0; p < homPassesPerSample; p++ {
 					for _, c := range cases {
-						_, _, _, _ = cq.FindAnswerBindingMode(c.Q, c.DB, c.Want, cq.SearchNaive)
+						_, _, _, _ = cq.FindAnswerBindingNaive(context.Background(), c.Q, c.DB, c.Want)
 					}
 				}
 			})
@@ -204,7 +204,7 @@ func H1HomSearch(pairsPerFamily, seed int, o *obs.Obs) (*Table, *HomBenchResult)
 			return timed(func() {
 				for p := 0; p < homPassesPerSample; p++ {
 					for _, c := range cases {
-						_, _, _, _ = cq.FindAnswerBindingCtxMode(plannedCtx, c.Q, c.DB, c.Want, cq.SearchAdaptive)
+						_, _, _, _ = cq.FindAnswerBindingCtx(plannedCtx, c.Q, c.DB, c.Want)
 					}
 				}
 			})

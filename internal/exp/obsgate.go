@@ -48,7 +48,7 @@ type ObsGateResult struct {
 
 // ObsOverheadGate measures what metrics collection costs the default
 // (adaptive) homomorphism search, the hottest instrumented path.  It
-// must run the same mode as H1HomSearch's measured arm, or the
+// must run the same search as H1HomSearch's measured arm, or the
 // FamilyNodes cross-check against the committed record breaks.  It prepares the
 // same corpus H1HomSearch uses (same seed convention), then alternates
 // trials of the full case list between a plain context (the unobserved
@@ -85,7 +85,7 @@ func ObsOverheadGate(pairsPerFamily, seed, trials int) (*Table, *ObsGateResult, 
 		for _, fc := range fams {
 			var famTotal int64
 			for _, c := range fc.cases {
-				_, _, st, err := cq.FindAnswerBindingCtxMode(ctx, c.Q, c.DB, c.Want, cq.SearchAdaptive)
+				_, _, st, err := cq.FindAnswerBindingCtx(ctx, c.Q, c.DB, c.Want)
 				if err != nil {
 					return 0, fmt.Errorf("%s: %v", fc.name, err)
 				}

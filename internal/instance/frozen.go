@@ -173,12 +173,42 @@ func (f *Frozen) PlanMemo(key any, build func() any) any {
 // tuples in sorted order, positions left to right), so freezing equal
 // databases always yields identical ID tables and row arrays.
 func FreezeDatabase(d *Database) *Frozen {
+	return freeze(d, nil)
+}
+
+// FreezeRelations builds an interned view of only the relations at the
+// schema indexes idxs (duplicates allowed); every other entry of
+// Relations stays nil.  Values are interned as FreezeDatabase does,
+// over the chosen relations in schema order.  The view is not
+// memoized: it suits a one-shot reader of a few relations of a
+// database that may be large or often mutated, where Database.Frozen
+// would re-intern every relation after each mutation.
+func FreezeRelations(d *Database, idxs []int) *Frozen {
+	want := make([]bool, len(d.Relations))
+	for _, i := range idxs {
+		want[i] = true
+	}
+	return freeze(d, want)
+}
+
+// freeze interns the relations want selects (all of them when want is
+// nil).
+func freeze(d *Database, want []bool) *Frozen {
+	size := 0
+	for i, r := range d.Relations {
+		if want == nil || want[i] {
+			size += r.Len()
+		}
+	}
 	f := &Frozen{
 		Schema:    d.Schema,
-		Interner:  value.NewInterner(d.Size()),
+		Interner:  value.NewInterner(size),
 		Relations: make([]*FrozenRelation, len(d.Relations)),
 	}
 	for i, r := range d.Relations {
+		if want != nil && !want[i] {
+			continue
+		}
 		arity := 0
 		if r.Scheme != nil {
 			arity = r.Scheme.Arity()

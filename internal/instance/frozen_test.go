@@ -176,3 +176,24 @@ func TestDistinctAtConcurrentCallsAgree(t *testing.T) {
 		}
 	}
 }
+
+func TestFreezeRelationsFreezesOnlyTheChosen(t *testing.T) {
+	d := frozenFixture(t)
+	f := FreezeRelations(d, []int{1, 1})
+	if f.Relations[0] != nil {
+		t.Fatal("unchosen relation R was frozen")
+	}
+	fr := f.Relations[1]
+	tuples := d.Relations[1].Tuples()
+	if fr == nil || fr.NumRows() != len(tuples) {
+		t.Fatalf("S frozen as %v, want %d rows", fr, len(tuples))
+	}
+	for i, tup := range tuples {
+		if got := f.DecodeTuple(1, i); !got.Equal(tup) {
+			t.Fatalf("S row %d decodes to %v, want %v", i, got, tup)
+		}
+	}
+	if f.Interner.Len() != 1 {
+		t.Fatalf("interned %d values, want only S's one", f.Interner.Len())
+	}
+}

@@ -44,8 +44,9 @@ func corpusCases(t *testing.T, family string, pairs, seed int) []exp.HomCase {
 // TestMetamorphicComponentNodes pins the planner's node accounting
 // three ways at once: the search span's nodes attribute, the span's
 // per-connected-component breakdown, and EvalStats.CompNodes must all
-// agree with EvalStats.Nodes on every search of the wide and keyed
-// corpora.  A counting path that skips a component (or double-counts
+// agree with EvalStats.Nodes on every pipelined search of the wide and
+// keyed corpora (searches the cost model sends to the dense scan carry
+// no component breakdown, in the span or the stats).  A counting path that skips a component (or double-counts
 // one) breaks the equality somewhere in the corpus.
 func TestMetamorphicComponentNodes(t *testing.T) {
 	pairs := 500
@@ -60,9 +61,10 @@ func TestMetamorphicComponentNodes(t *testing.T) {
 			ctx := obs.NewContext(context.Background(), &obs.Obs{Reg: reg, Sink: sink})
 
 			var total int64
+			scanned := 0
 			for ci, c := range cases {
 				sink.Reset()
-				_, _, es, err := cq.FindAnswerBindingCtxMode(ctx, c.Q, c.DB, c.Want, cq.SearchPlanned)
+				_, _, es, err := cq.FindAnswerBindingCtx(ctx, c.Q, c.DB, c.Want)
 				if err != nil {
 					t.Fatalf("case %d: %v", ci, err)
 				}
@@ -89,7 +91,14 @@ func TestMetamorphicComponentNodes(t *testing.T) {
 					nComp++
 				}
 				if nComp == 0 {
-					t.Fatalf("case %d: search span has no per-component attributes", ci)
+					// The dense scan arm has no plan, hence no component
+					// breakdown: its span and stats must both say so.
+					if len(es.CompNodes) != 0 {
+						t.Fatalf("case %d: EvalStats has %d components, span has none", ci, len(es.CompNodes))
+					}
+					scanned++
+					total += es.Nodes
+					continue
 				}
 				if compSum != es.Nodes {
 					t.Fatalf("case %d: components sum to %d nodes, search reports %d", ci, compSum, es.Nodes)
@@ -105,6 +114,13 @@ func TestMetamorphicComponentNodes(t *testing.T) {
 					t.Fatalf("case %d: EvalStats.CompNodes sum to %d, Nodes is %d", ci, esSum, es.Nodes)
 				}
 				total += es.Nodes
+			}
+
+			// The keyed corpus's canonical databases all sit under the
+			// tier-0 scan bound, so it pins the scan arm's accounting;
+			// the wide corpus must exercise the pipeline's.
+			if family == "wide" && scanned == len(cases) {
+				t.Fatal("every wide search ran the scan arm; component accounting untested")
 			}
 
 			// The search funnel's counters must equal the per-search sums.

@@ -207,17 +207,15 @@ func checkCol(i, n int) error {
 }
 
 // Eval evaluates the expression over d, returning the result with a
-// synthesized scheme.  It runs the streaming iterator evaluator
-// (stream.go): selections and projections pass rows through without
-// materializing, and joins hash their build side into a pre-sized
-// table.  evalMaterialize is the recursive reference it is tested
-// against.
+// synthesized scheme.  The algebra is a reference semantics for the
+// cq layer (examples/pipeline checks the two agree), so it evaluates
+// by the plain recursive walk, evalMaterialize.
 func Eval(e Expr, d *instance.Database) (*instance.Relation, error) {
 	ts, err := e.Type(d.Schema)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := drain(e, d)
+	rows, err := evalMaterialize(e, d)
 	if err != nil {
 		return nil, err
 	}
@@ -234,10 +232,10 @@ func Eval(e Expr, d *instance.Database) (*instance.Relation, error) {
 	return out, nil
 }
 
-// evalMaterialize is the original recursive evaluator: every operator
-// materializes its full input before producing output.  It is kept as
-// the semantics reference — the streaming evaluator must produce the
-// same rows in the same order on every expression.
+// evalMaterialize is the recursive evaluator: every operator
+// materializes its full input before producing output, and rows come
+// out in a deterministic order (leaf relations in sorted tuple order,
+// products and joins left-major).
 func evalMaterialize(e Expr, d *instance.Database) ([]instance.Tuple, error) {
 	switch e := e.(type) {
 	case *Rel:

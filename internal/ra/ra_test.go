@@ -360,3 +360,67 @@ func TestOptimizePushSelectEqSides(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalOperatorEdges pins the per-operator edges the fuzz tests can
+// miss: unknown relations under every operator, unknown expression
+// kinds, empty joins, a join with one matching bucket, and a constant
+// projection over a product.
+func TestEvalOperatorEdges(t *testing.T) {
+	gs := schema.MustParse("E(x:T1, y:T1)")
+	empty := instance.NewDatabase(gs)
+	for _, e := range []Expr{
+		&Rel{Name: "missing"},
+		&Project{E: &Rel{Name: "missing"}},
+		&Join{L: &Rel{Name: "E"}, R: &Rel{Name: "missing"}},
+		&Product{L: &Rel{Name: "E"}, R: &Rel{Name: "missing"}},
+		&SelectEq{E: &Rel{Name: "missing"}, Left: 0, Right: 1},
+		&SelectConst{E: &Rel{Name: "missing"}},
+	} {
+		if _, err := Eval(e, empty); err == nil {
+			t.Errorf("%s: unknown relation accepted", e)
+		}
+		if _, err := evalMaterialize(e, empty); err == nil {
+			t.Errorf("%s: unknown relation evaluated", e)
+		}
+	}
+	if _, err := evalMaterialize(struct{ Expr }{}, empty); err == nil {
+		t.Error("unknown expression kind evaluated")
+	}
+	join := &Join{L: &Rel{Name: "E"}, R: &Rel{Name: "E"}, LCol: 1, RCol: 0}
+	if out, err := Eval(join, empty); err != nil || out.Len() != 0 {
+		t.Fatalf("empty join: %v, %v", out, err)
+	}
+
+	e1 := func(n int64) value.Value { return value.Value{Type: 1, N: n} }
+	d := instance.NewDatabase(gs)
+	d.MustInsert("E", e1(1), e1(2))
+	d.MustInsert("E", e1(2), e1(3))
+	// Only the left row (1, 2) has a matching right row.
+	out, err := Eval(join, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 1 || !out.Has(instance.Tuple{e1(1), e1(2), e1(2), e1(3)}) {
+		t.Errorf("sparse join: %s", out)
+	}
+	// Constant projection over a product: the constant column is
+	// repeated, the projected column ranges over the right side.
+	p := &Project{
+		E:    &Product{L: &Rel{Name: "E"}, R: &Rel{Name: "E"}},
+		Cols: []ProjCol{Const(e1(9)), Col(3)},
+	}
+	out, err = Eval(p, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 2 || !out.Has(instance.Tuple{e1(9), e1(2)}) || !out.Has(instance.Tuple{e1(9), e1(3)}) {
+		t.Errorf("constant projection: %s", out)
+	}
+	rows, err := evalMaterialize(p, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Errorf("product projection yielded %d rows before dedup, want 4", len(rows))
+	}
+}
