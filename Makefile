@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/analysis -run '^$$' -fuzz '^FuzzHotDirective$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cq -run '^$$' -fuzz '^FuzzInternRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzStoreReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeDecode$$' -fuzztime $(FUZZTIME)
 
 # bench writes the batch engine's machine-readable regression record
 # (engine-vs-sequential wall time, node counts, cache hit rates).

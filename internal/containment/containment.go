@@ -224,23 +224,39 @@ func equivalentUnder(ctx context.Context, q1, q2 *cq.Query, s *schema.Schema, de
 }
 
 // CheckComparable validates both queries against s and requires equal
-// head types — the precondition every containment test shares.  The
-// batch engine calls it once per pair before dispatching workers.
+// head types — the precondition every containment test shares.  It is
+// CheckPair over each query's CheckQuery; callers that check many pairs
+// over shared queries (the batch engine) run the per-query half once
+// per query and the pairwise half once per pair, and get the same
+// errors.
 func CheckComparable(q1, q2 *cq.Query, s *schema.Schema) error {
-	if err := q1.Validate(s); err != nil {
-		return fmt.Errorf("containment: left query: %v", err)
+	return CheckPair(CheckQuery(q1, s), CheckQuery(q2, s))
+}
+
+// QueryCheck is the per-query half of CheckComparable: a query's
+// validation error, or its head type when it is valid.
+type QueryCheck struct {
+	HeadType []value.Type
+	Err      error
+}
+
+// CheckQuery validates q against s and infers its head type, in one pass.
+func CheckQuery(q *cq.Query, s *schema.Schema) QueryCheck {
+	ht, err := q.ValidHeadType(s)
+	return QueryCheck{HeadType: ht, Err: err}
+}
+
+// CheckPair is the pairwise half of CheckComparable: the left query's
+// validation error wins, then the right's, then an arity mismatch, then
+// the first head position whose types differ.
+func CheckPair(left, right QueryCheck) error {
+	if left.Err != nil {
+		return fmt.Errorf("containment: left query: %v", left.Err)
 	}
-	if err := q2.Validate(s); err != nil {
-		return fmt.Errorf("containment: right query: %v", err)
+	if right.Err != nil {
+		return fmt.Errorf("containment: right query: %v", right.Err)
 	}
-	t1, err := q1.HeadType(s)
-	if err != nil {
-		return err
-	}
-	t2, err := q2.HeadType(s)
-	if err != nil {
-		return err
-	}
+	t1, t2 := left.HeadType, right.HeadType
 	if len(t1) != len(t2) {
 		return fmt.Errorf("containment: arity %d vs %d", len(t1), len(t2))
 	}

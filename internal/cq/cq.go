@@ -228,59 +228,76 @@ func (q *Query) RelationsUsed() []string {
 // (the paper requires this), and type correctness of every equality and
 // constant.
 func (q *Query) Validate(s *schema.Schema) error {
-	varType := make(map[Var]value.Type)
+	_, err := q.ValidHeadType(s)
+	return err
+}
+
+// ValidHeadType is Validate followed by HeadType in one pass: it returns
+// Validate's error, or, when the query is valid, its head type.  The
+// variable-type map is presized to the body's placeholder count, which
+// bounds its entries.
+func (q *Query) ValidHeadType(s *schema.Schema) ([]value.Type, error) {
+	placeholders := 0
+	for _, a := range q.Body {
+		placeholders += len(a.Vars)
+	}
+	varType := make(map[Var]value.Type, placeholders)
 	for _, a := range q.Body {
 		r := s.Relation(a.Rel)
 		if r == nil {
-			return fmt.Errorf("cq: unknown relation %q", a.Rel)
+			return nil, fmt.Errorf("cq: unknown relation %q", a.Rel)
 		}
 		if len(a.Vars) != r.Arity() {
-			return fmt.Errorf("cq: %s has %d placeholders, scheme wants %d", a.Rel, len(a.Vars), r.Arity())
+			return nil, fmt.Errorf("cq: %s has %d placeholders, scheme wants %d", a.Rel, len(a.Vars), r.Arity())
 		}
 		for i, v := range a.Vars {
 			if v == "" {
-				return fmt.Errorf("cq: empty variable in %s", a.Rel)
+				return nil, fmt.Errorf("cq: empty variable in %s", a.Rel)
 			}
 			if _, dup := varType[v]; dup {
-				return fmt.Errorf("cq: placeholder %s reused; placeholders must be distinct variables", v)
+				return nil, fmt.Errorf("cq: placeholder %s reused; placeholders must be distinct variables", v)
 			}
 			varType[v] = r.Attrs[i].Type
 		}
 	}
 	if len(q.Body) == 0 {
-		return fmt.Errorf("cq: empty body")
+		return nil, fmt.Errorf("cq: empty body")
 	}
+	head := make([]value.Type, len(q.Head))
 	for i, t := range q.Head {
 		if t.IsConst {
 			if t.Const.Type == value.NoType {
-				return fmt.Errorf("cq: head position %d has untyped constant", i)
+				return nil, fmt.Errorf("cq: head position %d has untyped constant", i)
 			}
+			head[i] = t.Const.Type
 			continue
 		}
-		if _, ok := varType[t.Var]; !ok {
-			return fmt.Errorf("cq: head variable %s does not occur in the body", t.Var)
+		vt, ok := varType[t.Var]
+		if !ok {
+			return nil, fmt.Errorf("cq: head variable %s does not occur in the body", t.Var)
 		}
+		head[i] = vt
 	}
 	for _, e := range q.Eqs {
 		lt, ok := varType[e.Left]
 		if !ok {
-			return fmt.Errorf("cq: equality variable %s does not occur in the body", e.Left)
+			return nil, fmt.Errorf("cq: equality variable %s does not occur in the body", e.Left)
 		}
 		if e.Right.IsConst {
 			if e.Right.Const.Type != lt {
-				return fmt.Errorf("cq: selection %s compares %v with %v", e, lt, e.Right.Const.Type)
+				return nil, fmt.Errorf("cq: selection %s compares %v with %v", e, lt, e.Right.Const.Type)
 			}
 			continue
 		}
 		rt, ok := varType[e.Right.Var]
 		if !ok {
-			return fmt.Errorf("cq: equality variable %s does not occur in the body", e.Right.Var)
+			return nil, fmt.Errorf("cq: equality variable %s does not occur in the body", e.Right.Var)
 		}
 		if lt != rt {
-			return fmt.Errorf("cq: equality %s compares %v with %v", e, lt, rt)
+			return nil, fmt.Errorf("cq: equality %s compares %v with %v", e, lt, rt)
 		}
 	}
-	return nil
+	return head, nil
 }
 
 // HeadType infers the answer type (the "type of the view") against a
@@ -317,11 +334,43 @@ func (q *Query) HeadType(s *schema.Schema) ([]value.Type, error) {
 // String renders the query in the paper's syntax:
 //
 //	Q(X, Y) :- R(X, Z), S(W, Y), Z = W, X = T1:3.
+//
+// A sizing pass measures the rendering first, so it is written into one
+// exactly presized buffer: printing costs a single allocation.
 func (q *Query) String() string {
-	var b strings.Builder
 	head := q.HeadRel
 	if head == "" {
 		head = "Q"
+	}
+	var scratch [40]byte // one rendered constant; see value.Value.Append
+	termLen := func(t Term) int {
+		if t.IsConst {
+			return len(t.Const.Append(scratch[:0]))
+		}
+		return len(t.Var)
+	}
+	n := len(head) + len("() :- ") + len(".")
+	for _, t := range q.Head {
+		n += len(", ") + termLen(t)
+	}
+	for _, a := range q.Body {
+		n += len(", ") + len(a.Rel) + len("()")
+		for _, v := range a.Vars {
+			n += len(", ") + len(v)
+		}
+	}
+	for _, e := range q.Eqs {
+		n += len(", ") + len(e.Left) + len(" = ") + termLen(e.Right)
+	}
+
+	var b strings.Builder
+	b.Grow(n)
+	writeTerm := func(t Term) {
+		if t.IsConst {
+			b.Write(t.Const.Append(scratch[:0]))
+			return
+		}
+		b.WriteString(string(t.Var))
 	}
 	b.WriteString(head)
 	b.WriteByte('(')
@@ -329,18 +378,28 @@ func (q *Query) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(t.String())
+		writeTerm(t)
 	}
 	b.WriteString(") :- ")
 	for i, a := range q.Body {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(a.String())
+		b.WriteString(a.Rel)
+		b.WriteByte('(')
+		for k, v := range a.Vars {
+			if k > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(string(v))
+		}
+		b.WriteByte(')')
 	}
 	for _, e := range q.Eqs {
 		b.WriteString(", ")
-		b.WriteString(e.String())
+		b.WriteString(string(e.Left))
+		b.WriteString(" = ")
+		writeTerm(e.Right)
 	}
 	b.WriteByte('.')
 	return b.String()

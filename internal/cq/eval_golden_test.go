@@ -18,12 +18,13 @@ import (
 	"keyedeq/internal/value"
 )
 
-// updateEvalGolden rewrites testdata/eval_golden.json from the current
-// evaluator.  The record pins full-enumeration Eval's answers and its
-// search-tree accounting (Nodes, CompNodes): regenerate it only for an
-// intentional change to plan order or node counting, never to make an
-// evaluator edit pass.
-var updateEvalGolden = flag.Bool("update-golden", false, "rewrite testdata/eval_golden.json")
+// updateGolden rewrites the golden records under testdata from the
+// current code.  testdata/eval_golden.json pins full-enumeration Eval's
+// answers and its search-tree accounting (Nodes, CompNodes): regenerate
+// it only for an intentional change to plan order or node counting,
+// never to make an evaluator edit pass.  testdata/string_golden.txt pins
+// Query.String, the text every printed query and presentation memo uses.
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden records under testdata")
 
 const evalGoldenPath = "testdata/eval_golden.json"
 
@@ -167,7 +168,7 @@ func TestEvalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	if *updateEvalGolden {
+	if *updateGolden {
 		if err := os.WriteFile(evalGoldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -318,78 +318,60 @@ func (c *canonizer) occurrences(ci int) (atoms, pos []int) {
 // partition refinement: the initial color is the class's constant
 // binding, head positions, and (relation, position) occurrence multiset;
 // each round folds in the colors of co-occurring classes until the
-// partition stabilizes.  Class and atom rows live in one backing array
-// each, sized for their widest round and rewritten in place.
+// partition stabilizes.
+//
+// A round's class signature is the class's own color followed by the
+// sorted multiset of (atom color, position) occurrences, so the new
+// dense ranks refine the old order: every old color cell keeps its place
+// and splits only internally.  Rounds therefore work cell by cell over
+// the classes kept sorted by color.  A singleton cell cannot split and
+// takes the next rank without building its row; only wider cells build
+// occurrence rows and sort them.  Atoms are re-ranked in full each round
+// instead: their order is not monotone across rounds (R(1,5) sorts after
+// R(1,3), but once color 1's cell splits, the first argument of R(1,5)
+// may take the smaller new color and the order flips), and they are
+// few.  Class and atom rows live in one backing array each, sized for
+// their widest round and rewritten in place.
 //
 //keyedeq:hot -- iterated refinement rounds over every class and atom; every canonical key pays for it
 func (c *canonizer) refine() {
 	nc, na := len(c.color), len(c.atomRel)
-	// posBase makes (color, position) pairs collision-free when packed
-	// into one int.
-	posBase := 1
-	for _, args := range c.atomArgs {
-		if len(args) >= posBase {
-			posBase = len(args) + 1
-		}
-	}
-
-	// Constant bindings are the only name-bearing invariant left after
-	// relColor; render and rank them once up front (most classes bind
-	// none).  The rendering is kept for the encoder.
-	constRank := make([]int, nc)
-	var consts []string
-	for ci := range c.color {
-		if c.classHasC[ci] {
-			if c.constStr == nil {
-				c.constStr = make([]string, nc)
-			}
-			c.constStr[ci] = c.classConst[ci].String()
-			consts = append(consts, c.constStr[ci])
-		}
-	}
-	if len(consts) > 0 {
-		sort.Strings(consts)
-		consts = uniqStrings(consts)
-		for ci := range c.color {
-			if c.classHasC[ci] {
-				constRank[ci] = 1 + sort.SearchStrings(consts, c.constStr[ci])
-			}
-		}
-	}
-
-	// A class row is widest in the initial round: constant rank, head
-	// count, head positions, then one entry per occurrence.
+	posBase := c.posBase()
 	classRows := make([][]int, nc)
-	classFlat := make([]int, 2*nc+len(c.headPos)+len(c.occAtom))
-	idx := make([]int, max(nc, na)) // rankRows scratch
-	off := 0
-	for ci := range classRows {
-		headP := c.headPos[c.headStart[ci]:c.headStart[ci+1]]
-		occAtom, occPos := c.occurrences(ci)
-		w := 2 + len(headP) + len(occAtom)
-		row := append(classFlat[off:off:off+w], constRank[ci], len(headP))
-		row = append(row, headP...)
-		mark := len(row)
-		for k, ai := range occAtom {
-			row = append(row, c.relColor[ai]*posBase+occPos[k])
-		}
-		slices.Sort(row[mark:])
-		classRows[ci] = row
-		off += w
-	}
+	c.initialRows(posBase, classRows, make([]int, 2*nc+len(c.headPos)+len(c.occAtom)))
+	idx := make([]int, max(nc, na)) // rankRows and counting-sort scratch
 	distinct := rankRows(classRows, c.color, idx)
 	if distinct == nc {
 		return // discrete partition: colors are final
 	}
 
+	// One arena holds the atom rows, the atom colors and order: the
+	// classes sorted by color, so each color's cell is a contiguous run.
+	atomFlat := make([]int, 2*na+len(c.occAtom)+nc)
 	atomRows := make([][]int, na)
-	atomFlat := make([]int, na+len(c.occAtom))
-	off = 0
+	off := 0
 	for ai, args := range c.atomArgs {
 		atomRows[ai] = atomFlat[off : off : off+1+len(args)]
 		off += 1 + len(args)
 	}
-	atomColor := make([]int, na)
+	atomColor, order := atomFlat[off:off+na], atomFlat[off+na:]
+	// Counting sort by color: next[k] starts at color k's first slot in
+	// order and advances as the cell fills.
+	next := idx[:distinct]
+	clear(next)
+	for _, col := range c.color {
+		next[col]++
+	}
+	sum := 0
+	for k, n := range next {
+		next[k] = sum
+		sum += n
+	}
+	for ci, col := range c.color {
+		order[next[col]] = ci
+		next[col]++
+	}
+
 	for round := 0; round < nc; round++ {
 		// Atom signature: relation color then argument class colors.
 		for ai, args := range c.atomArgs {
@@ -400,22 +382,102 @@ func (c *canonizer) refine() {
 			atomRows[ai] = row
 		}
 		rankRows(atomRows, atomColor, idx)
-		// Class signature: own color then the sorted multiset of
-		// (atom color, position) occurrences.
-		for ci := range classRows {
-			occAtom, occPos := c.occurrences(ci)
-			row := append(classRows[ci][:0], c.color[ci])
-			for k, ai := range occAtom {
-				row = append(row, atomColor[ai]*posBase+occPos[k])
+		// Walk the cells in color order.  A cell's extent is read before
+		// its members are recolored, from positions not yet visited, so
+		// new ranks never mix with old colors.
+		rank := 0
+		for lo := 0; lo < nc; {
+			hi := lo + 1
+			for hi < nc && c.color[order[hi]] == c.color[order[lo]] {
+				hi++
 			}
-			slices.Sort(row[1:])
-			classRows[ci] = row
+			cell := order[lo:hi]
+			lo = hi
+			if len(cell) == 1 {
+				c.color[cell[0]] = rank
+				rank++
+				continue
+			}
+			for _, ci := range cell {
+				occAtom, occPos := c.occurrences(ci)
+				row := classRows[ci][:0]
+				for k, ai := range occAtom {
+					row = append(row, atomColor[ai]*posBase+occPos[k])
+				}
+				slices.Sort(row)
+				classRows[ci] = row
+			}
+			// Sorting the cell by row keeps order sorted by the new colors.
+			slices.SortFunc(cell, func(a, b int) int { return slices.Compare(classRows[a], classRows[b]) })
+			for k, ci := range cell {
+				if k > 0 && !slices.Equal(classRows[cell[k-1]], classRows[ci]) {
+					rank++
+				}
+				c.color[ci] = rank
+			}
+			rank++
 		}
-		d := rankRows(classRows, c.color, idx)
-		if d == distinct || d == nc {
+		if rank == distinct || rank == nc {
 			return
 		}
-		distinct = d
+		distinct = rank
+	}
+}
+
+// posBase returns a base that makes (color, position) pairs
+// collision-free when packed into one int: one more than the widest
+// atom's arity.
+func (c *canonizer) posBase() int {
+	base := 1
+	for _, args := range c.atomArgs {
+		if len(args) >= base {
+			base = len(args) + 1
+		}
+	}
+	return base
+}
+
+// initialRows fills classRows with the initial class signatures: the
+// rank of the class's constant binding (0 for none), its head count and
+// head positions, then its sorted (relation color, position) occurrence
+// multiset.  Rows are carved from flat, which must hold
+// 2*classes + len(c.headPos) + len(c.occAtom) ints.
+func (c *canonizer) initialRows(posBase int, classRows [][]int, flat []int) {
+	// Constant bindings are the only name-bearing invariant left after
+	// relColor; render and rank them once up front (most classes bind
+	// none).  The rendering is kept for the encoder.
+	var consts []string
+	for ci := range c.color {
+		if c.classHasC[ci] {
+			if c.constStr == nil {
+				c.constStr = make([]string, len(c.color))
+			}
+			c.constStr[ci] = c.classConst[ci].String()
+			consts = append(consts, c.constStr[ci])
+		}
+	}
+	if len(consts) > 0 {
+		sort.Strings(consts)
+		consts = uniqStrings(consts)
+	}
+	off := 0
+	for ci := range classRows {
+		constRank := 0
+		if c.classHasC[ci] {
+			constRank = 1 + sort.SearchStrings(consts, c.constStr[ci])
+		}
+		headP := c.headPos[c.headStart[ci]:c.headStart[ci+1]]
+		occAtom, occPos := c.occurrences(ci)
+		w := 2 + len(headP) + len(occAtom)
+		row := append(flat[off:off:off+w], constRank, len(headP))
+		row = append(row, headP...)
+		mark := len(row)
+		for k, ai := range occAtom {
+			row = append(row, c.relColor[ai]*posBase+occPos[k])
+		}
+		slices.Sort(row[mark:])
+		classRows[ci] = row
+		off += w
 	}
 }
 
@@ -509,7 +571,7 @@ func (c *canonizer) encode() (string, bool) {
 		}
 		if h.isConst {
 			st.buf = append(st.buf, 'c')
-			st.buf = append(st.buf, h.cnst.String()...)
+			st.buf = h.cnst.Append(st.buf)
 			continue
 		}
 		c.writeClass(st, h.class)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"keyedeq/internal/cq"
@@ -105,5 +106,87 @@ func TestCanonicalKeyNilSchema(t *testing.T) {
 	without := CanonicalizeQuery(q, nil)
 	if withSchema.Key != without.Key {
 		t.Fatalf("schema presence changed a satisfiable query's key: %q vs %q", withSchema.Key, without.Key)
+	}
+}
+
+// refineReference is the refinement loop refine replaced, kept as its
+// oracle: every round re-ranks every class row, own color first, in one
+// full sort.  It shares refine's initial round.
+func refineReference(c *canonizer) {
+	nc, na := len(c.color), len(c.atomRel)
+	posBase := c.posBase()
+	classRows := make([][]int, nc)
+	c.initialRows(posBase, classRows, make([]int, 2*nc+len(c.headPos)+len(c.occAtom)))
+	idx := make([]int, max(nc, na))
+	distinct := rankRows(classRows, c.color, idx)
+	atomRows, atomColor := make([][]int, na), make([]int, na)
+	for round := 0; distinct < nc && round < nc; round++ {
+		for ai, args := range c.atomArgs {
+			atomRows[ai] = []int{c.relColor[ai]}
+			for _, ci := range args {
+				atomRows[ai] = append(atomRows[ai], c.color[ci])
+			}
+		}
+		rankRows(atomRows, atomColor, idx)
+		for ci := range classRows {
+			occAtom, occPos := c.occurrences(ci)
+			row := []int{c.color[ci]}
+			for k, ai := range occAtom {
+				row = append(row, atomColor[ai]*posBase+occPos[k])
+			}
+			slices.Sort(row[1:])
+			classRows[ci] = row
+		}
+		d := rankRows(classRows, c.color, idx)
+		if d == distinct {
+			return
+		}
+		distinct = d
+	}
+}
+
+// checkRefineMatchesReference fails unless refine leaves exactly the
+// colors refineReference does on q.
+func checkRefineMatchesReference(t *testing.T, q *cq.Query) {
+	t.Helper()
+	got, unsat := newCanonizer(q)
+	if unsat {
+		return
+	}
+	want, _ := newCanonizer(q)
+	got.refine()
+	refineReference(want)
+	if !slices.Equal(got.color, want.color) {
+		t.Fatalf("refine diverges from the full-sort reference on %s:\n  got  %v\n  want %v", q, got.color, want.color)
+	}
+}
+
+// TestRefineMatchesReference checks cell-local refinement against the
+// full-sort reference on corpora of every family over several seeds,
+// and on the golden record's inputs (the disjoint-cycle unions and the
+// fuzz seeds among them).
+func TestRefineMatchesReference(t *testing.T) {
+	n := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, name := range gen.FamilyNames() {
+			f, err := gen.PairCorpus(rand.New(rand.NewSource(seed)), name, 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range f.Pairs {
+				checkRefineMatchesReference(t, p.Left)
+				checkRefineMatchesReference(t, p.Right)
+				n += 2
+			}
+		}
+	}
+	for _, f := range goldenInputs(t) {
+		for _, c := range f.Cases {
+			checkRefineMatchesReference(t, cq.MustParse(c.Query))
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no queries checked")
 	}
 }

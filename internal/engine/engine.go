@@ -478,12 +478,15 @@ func containedFrom(ctx context.Context, f *frozen, right *cq.Query) (bool, conta
 	return ok, containment.SearchStats(es.Nodes), err
 }
 
-// Run decides every job of the batch in three phases: canonicalize the
-// distinct queries on the worker pool; then, on the caller's goroutine,
-// dedupe identical pairs and probe the cache; then fan the remaining
-// work across the pool.  Chase artifacts are shared per distinct query;
-// the homomorphism searches of each pair run under the per-job timeout.
-// Results are positionally aligned with jobs.
+// Run decides every job of the batch in four phases.  Check: validate
+// each distinct query object once on the worker pool, then pair the
+// results per job on the caller's goroutine.  Key: canonicalize the
+// distinct queries of the comparable jobs on the pool.  Group and probe:
+// on the caller's goroutine, dedupe identical pairs and probe the cache.
+// Compute: fan the remaining work across the pool.  Chase artifacts are
+// shared per distinct query; the homomorphism searches of each pair run
+// under the per-job timeout.  Results are positionally aligned with
+// jobs.
 func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 	ctx, o := e.withObs(ctx)
 	rep := &Report{Results: make([]Result, len(jobs)), Pairs: len(jobs), Workers: e.opts.Workers}
@@ -492,13 +495,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		started = e.opts.Now()
 	}
 
-	// Keying phase: canonicalize each distinct query once, on the pool.
-	// Batches repeat queries heavily (identity views, shared sides,
-	// regenerated corpora), so the distinct query objects are collected
-	// first; workers then print each one and canonicalize each distinct
-	// presentation exactly once, so clones — pointer-distinct but
-	// textually identical — share a single canonicalization.
-	slotOf := make(map[*cq.Query]int)
+	// Check phase.  Batches repeat queries heavily (identity views,
+	// shared sides, regenerated corpora), so the distinct query objects
+	// are collected first and each is validated once; the pairwise half
+	// of the check is cheap and runs per job.
+	slotOf := make(map[*cq.Query]int, len(jobs))
 	var distinct []*cq.Query
 	leftSlot := make([]int, len(jobs))
 	rightSlot := make([]int, len(jobs))
@@ -512,33 +513,54 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		return s
 	}
 	for i, j := range jobs {
-		if err := containment.CheckComparable(j.Left, j.Right, e.s); err != nil {
+		leftSlot[i], rightSlot[i] = slot(j.Left), slot(j.Right)
+	}
+	checks := make([]containment.QueryCheck, len(distinct))
+	fanOut(e.opts.Workers, len(distinct), func(s int) {
+		checks[s] = containment.CheckQuery(distinct[s], e.s)
+	})
+	// keyed lists the slots of comparable jobs' queries in order of first
+	// appearance; only they are canonicalized.
+	keyed := make([]int, 0, len(distinct))
+	wanted := make([]bool, len(distinct))
+	for i := range jobs {
+		if err := containment.CheckPair(checks[leftSlot[i]], checks[rightSlot[i]]); err != nil {
 			rep.Results[i] = Result{Err: err}
 			leftSlot[i] = -1
 			continue
 		}
-		leftSlot[i], rightSlot[i] = slot(j.Left), slot(j.Right)
+		for _, s := range [2]int{leftSlot[i], rightSlot[i]} {
+			if !wanted[s] {
+				wanted[s] = true
+				keyed = append(keyed, s)
+			}
+		}
 	}
+
+	// Key phase: workers print each query and canonicalize each distinct
+	// presentation exactly once, so clones — pointer-distinct but
+	// textually identical — share a single canonicalization.
 	keys := make([]string, len(distinct))
-	memo := &canonMemo{byPresentation: make(map[string]*canonEntry, len(distinct))}
-	fanOut(e.opts.Workers, len(distinct), func(s int) {
-		keys[s] = memo.key(distinct[s].String(), func() string {
-			return e.canonicalize(ctx, o, distinct[s])
+	memo := &canonMemo{byPresentation: make(map[string]*canonEntry, len(keyed))}
+	fanOut(e.opts.Workers, len(keyed), func(k int) {
+		q := distinct[keyed[k]]
+		keys[keyed[k]] = memo.key(q.String(), func() string {
+			return e.canonicalize(ctx, o, q)
 		})
 	})
 
-	// Group jobs by canonical pair key; one leader computes, the rest
-	// copy.
+	// Group-and-probe phase: group jobs by canonical pair key (one
+	// leader computes, the rest copy), then probe the cache per group.
 	type group struct {
 		leader  int
 		indexes []int
 	}
 	groups := make(map[string]*group)
 	var order []string // deterministic dispatch order
-	repr := make(map[string]*cq.Query, len(distinct))
-	for s, k := range keys {
-		if _, ok := repr[k]; !ok {
-			repr[k] = distinct[s]
+	repr := make(map[string]*cq.Query, len(keyed))
+	for _, s := range keyed {
+		if _, ok := repr[keys[s]]; !ok {
+			repr[keys[s]] = distinct[s]
 		}
 	}
 	for i, j := range jobs {
@@ -556,7 +578,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		g.indexes = append(g.indexes, i)
 	}
 
-	// Cache probe per group.
 	var work []string
 	for _, pk := range order {
 		if e.cache == nil {
@@ -576,7 +597,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) *Report {
 		work = append(work, pk)
 	}
 
-	// Compute the remaining groups on the pool.
+	// Compute phase: decide the remaining groups on the pool.
 	bs := &batchState{ctx: ctx, consts: batchConstants(jobs), repr: repr, frozen: make(map[string]*frozen)}
 	runs := make([]leaderRun, len(work))
 	fanOut(e.opts.Workers, len(work), func(w int) {

@@ -14,7 +14,9 @@ import (
 //
 //  1. Canonicalization never panics on any query the parser accepts
 //     (schema-bearing and schema-free paths alike).
-//  2. α-equivalent presentations of the same text — variable renaming,
+//  2. Cell-local refinement leaves the colors the full-sort reference
+//     loop does.
+//  3. α-equivalent presentations of the same text — variable renaming,
 //     atom reordering, equality restructuring — map to the same key, and
 //     the key is stable across repeated computation.
 func FuzzCanonicalKey(f *testing.F) {
@@ -26,6 +28,7 @@ func FuzzCanonicalKey(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkRefineMatchesReference(t, q)
 		c1 := CanonicalizeQuery(q, nil)
 		if c1.Key == "" {
 			t.Fatalf("empty key for parsed query %s", q)

@@ -54,10 +54,7 @@ func (m *Mapping) Validate() error {
 		if q == nil {
 			return fmt.Errorf("mapping: no query for %q", rel.Name)
 		}
-		if err := q.Validate(m.Src); err != nil {
-			return fmt.Errorf("mapping: query for %q: %v", rel.Name, err)
-		}
-		ht, err := q.HeadType(m.Src)
+		ht, err := q.ValidHeadType(m.Src)
 		if err != nil {
 			return fmt.Errorf("mapping: query for %q: %v", rel.Name, err)
 		}

@@ -120,12 +120,9 @@ func (p *Program) Validate() error {
 		}
 		layer := p.SchemaAt(i)
 		for _, q := range v.Def.Disjuncts {
-			if err := q.Validate(layer); err != nil {
-				return fmt.Errorf("program: view %q: %v", v.Scheme.Name, err)
-			}
-			ht, err := q.HeadType(layer)
+			ht, err := q.ValidHeadType(layer)
 			if err != nil {
-				return err
+				return fmt.Errorf("program: view %q: %v", v.Scheme.Name, err)
 			}
 			if len(ht) != v.Scheme.Arity() {
 				return fmt.Errorf("program: view %q rule has arity %d, want %d", v.Scheme.Name, len(ht), v.Scheme.Arity())

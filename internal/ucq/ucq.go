@@ -71,12 +71,9 @@ func (u *Query) Validate(s *schema.Schema) error {
 	}
 	var ht []value.Type
 	for i, q := range u.Disjuncts {
-		if err := q.Validate(s); err != nil {
-			return fmt.Errorf("ucq: disjunct %d: %v", i, err)
-		}
-		t, err := q.HeadType(s)
+		t, err := q.ValidHeadType(s)
 		if err != nil {
-			return err
+			return fmt.Errorf("ucq: disjunct %d: %v", i, err)
 		}
 		if ht == nil {
 			ht = t

@@ -41,10 +41,27 @@ func (v Value) IsZero() bool { return v.Type == NoType && v.N == 0 }
 
 // String renders the value as, e.g., "T3:17".
 func (v Value) String() string {
+	var buf [maxValueLen]byte
+	return string(v.Append(buf[:0]))
+}
+
+// maxValueLen bounds a rendered Value: "T", an int32 type, ':' and an
+// int64.
+const maxValueLen = 1 + 11 + 1 + 20
+
+// Append appends the value's rendering (see String) to dst.
+func (v Value) Append(dst []byte) []byte {
 	if v.IsZero() {
-		return "<zero>"
+		return append(dst, "<zero>"...)
 	}
-	return fmt.Sprintf("%s:%d", v.Type, v.N)
+	if v.Type == NoType {
+		dst = append(dst, "T?"...)
+	} else {
+		dst = append(dst, 'T')
+		dst = strconv.AppendInt(dst, int64(v.Type), 10)
+	}
+	dst = append(dst, ':')
+	return strconv.AppendInt(dst, v.N, 10)
 }
 
 // Compare orders values first by type, then by N.  It returns -1, 0, or +1.
